@@ -27,6 +27,7 @@ from .emrecon import (
     em_step,
     log_likelihood,
     reconstruct_pn,
+    reconstruct_pn_batch,
 )
 from .errors import (
     AliasingError,
@@ -113,6 +114,7 @@ __all__ = [
     "phase_fourier",
     "reconstruct_density_matrix",
     "reconstruct_pn",
+    "reconstruct_pn_batch",
     "simulate_dataset",
     "uniform_grid",
     "wigner_map_exact",

@@ -40,7 +40,8 @@ from .datafile import (
     write_text_atomic,
 )
 from .detector import ModulationSpec, simulate_dataset, uniform_grid
-from .emrecon import EMConfig, default_truncation, reconstruct_pn
+from .emrecon import EMConfig, default_truncation, reconstruct_pn_batch
+from .emrecon import reconstruct_pn  # noqa: F401  (perfbench/tracer.py patches it here)
 from .errors import ConfigError, ReconstructionError
 from .fock import (
     FockDensityMatrix,
@@ -304,66 +305,76 @@ def cmd_reconstruct(args) -> int:
         rho, dists = _exact_bundle(cfg)
         phases = 2.0 * math.pi * np.arange(cfg.n_phases) / cfg.n_phases
         groups = {
-            ai: [(phases[pi], dists[(ai, pi)]) for pi in range(cfg.n_phases)]
-            for ai in range(len(cfg.amps))
+            amp: [(phases[pi], dists[(ai, pi)]) for pi in range(cfg.n_phases)]
+            for ai, amp in enumerate(cfg.amps)
         }
-        amp_of = dict(enumerate(cfg.amps))
         diagnostics["mode"] = "exact"
     else:
-        bundle = read_dataset_file(args.data)
-        amp_of = dict(enumerate(bundle.amps))
-        groups = {}
-        for (ai, pi) in sorted(bundle.counts):
-            groups.setdefault(ai, []).append(_dataset_for(bundle, ai, pi))
+        groups = read_dataset_file(args.data).by_amp()
         diagnostics["mode"] = "data"
+    if args.bootstrap:
+        seed = args.seed if args.seed is not None else cfg.seed
+        diagnostics["bootstrap"] = {"replicas": args.bootstrap, "seed": seed, "outcomes": []}
 
-    for ai in sorted(groups):
-        amp = amp_of[ai]
-        try:
-            if args.exact:
-                pairs = groups[ai]
-                dist_list = [d for _, d in pairs]
-                phase_list = [ph for ph, _ in pairs]
-            else:
-                datasets = groups[ai]
-                n_bar = cfg.em.n_max or max(default_truncation(ds) for ds in datasets)
-                em_cfg = dataclasses.replace(cfg.em, n_max=n_bar)
-                results = [reconstruct_pn(ds, em_cfg) for ds in datasets]
-                dist_list = [r.distribution for r in results]
-                phase_list = [ds.phase for ds in datasets]
-                for ds, r in zip(datasets, results):
-                    diagnostics["em"].append(
-                        {
-                            "amp": ds.amp,
-                            "phase": ds.phase,
-                            "n_max": n_bar,
-                            "iterations": r.iterations,
-                            "converged": r.converged,
-                            "residual": r.residual,
-                            "final_ll": r.final_ll,
-                            "ll_decreases": r.ll_decreases,
-                        }
-                    )
+    def record_failure(amp, target, err):
+        diagnostics["failures"].append({"amp": amp, "target": target, "error": str(err)})
 
-            if "pn" in cfg.targets:
-                for phase, dist in zip(phase_list, dist_list):
-                    for n, p in enumerate(dist.probs):
-                        pn_rows.append((amp, phase, n, float(p)))
+    for amp, group in groups.items():
+        if args.exact:
+            dist_list = [d for _, d in group]
+            phase_list = [ph for ph, _ in group]
+        else:
+            datasets = group
+            n_bar = cfg.em.n_max or max(default_truncation(ds) for ds in datasets)
+            em_cfg = dataclasses.replace(cfg.em, n_max=n_bar)
+            try:
+                results = reconstruct_pn_batch(datasets, em_cfg)
+            except ReconstructionError as err:
+                record_failure(amp, "em", err)
+                continue
+            dist_list = [r.distribution for r in results]
+            phase_list = [ds.phase for ds in datasets]
+            for ds, r in zip(datasets, results):
+                diagnostics["em"].append(
+                    {
+                        "amp": ds.amp,
+                        "phase": ds.phase,
+                        "n_max": n_bar,
+                        "iterations": r.iterations,
+                        "converged": r.converged,
+                        "residual": r.residual,
+                        "final_ll": r.final_ll,
+                        "ll_decreases": r.ll_decreases,
+                    }
+                )
 
-            if "wigner" in cfg.targets:
+        if "pn" in cfg.targets:
+            for phase, dist in zip(phase_list, dist_list):
+                for n, p in enumerate(dist.probs):
+                    pn_rows.append((amp, phase, n, float(p)))
+
+        # each target's point estimate and bootstrap fail on their own, so a
+        # rank-deficient dm kernel keeps the wigner rows and their stderr
+        if "wigner" in cfg.targets:
+            try:
                 table = {
                     complex(amp * cmath.exp(1j * phase)): dist
                     for phase, dist in zip(phase_list, dist_list)
                 }
                 wmap = wigner_map_from_data(table)
                 for pt, phase in zip(wmap.points, phase_list):
-                    row = [amp, phase, pt.alpha.real, pt.alpha.imag, pt.value,
-                           stderr_by_tag.get(wigner_tag(amp, phase)), pt.flagged]
+                    row = [amp, phase, pt.alpha.real, pt.alpha.imag, pt.value, None, pt.flagged]
                     if args.conventional_wigner:
                         row.append(conventional_wigner_value(pt.value))
                     wigner_rows.append(tuple(row))
+                if args.bootstrap:
+                    _attach_bootstrap(amp, "wigner", wigner_pipeline(em_cfg), datasets,
+                                      args.bootstrap, stderr_by_tag, diagnostics["bootstrap"])
+            except ReconstructionError as err:
+                record_failure(amp, "wigner", err)
 
-            if "dm" in cfg.targets:
+        if "dm" in cfg.targets:
+            try:
                 uniform_phases_or_error(phase_list)
                 res = reconstruct_density_matrix(
                     dist_list,
@@ -385,15 +396,17 @@ def cmd_reconstruct(args) -> int:
                 for f in res.fits:
                     for m, v in enumerate(f.values):
                         dm_rows.append(
-                            (amp, f.s, m + f.s, m, v.real, v.imag,
-                             stderr_by_tag.get(dm_tag(m + f.s, m)),
+                            (amp, f.s, m + f.s, m, v.real, v.imag, None,
                              f.condition, f.residual, f.reliable)
                         )
-        except ReconstructionError as err:
-            diagnostics["failures"].append({"amp": amp, "error": str(err)})
+                if args.bootstrap:
+                    pipe = dm_pipeline(amp, cfg.s_max, cfg.m_max, em_cfg, svd_cutoff=cfg.svd_cutoff)
+                    _attach_bootstrap(amp, "dm", pipe, datasets, args.bootstrap,
+                                      stderr_by_tag, diagnostics["bootstrap"], prefix=f"{amp!r}:")
+            except ReconstructionError as err:
+                record_failure(amp, "dm", err)
 
     if args.bootstrap:
-        _attach_bootstrap(args, cfg, groups, amp_of, stderr_by_tag, diagnostics)
         wigner_rows = [
             row[:5] + (stderr_by_tag.get(wigner_tag(row[0], row[1])),) + row[6:]
             for row in wigner_rows
@@ -434,36 +447,20 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _dataset_for(bundle: DatasetBundle, ai: int, pi: int):
-    from .detector import OnOffDataset
+def _attach_bootstrap(amp, target, pipeline, datasets, n_replicas, stderr_by_tag, diag,
+                      prefix="") -> None:
+    """Bootstrap one target's point-estimate estimator for one amplitude.
 
-    return OnOffDataset(
-        grid=bundle.grid,
-        shots=bundle.shots,
-        off_counts=bundle.counts[(ai, pi)],
-        amp=bundle.amps[ai],
-        phase=bundle.phases[pi],
-    )
-
-
-def _attach_bootstrap(args, cfg, groups, amp_of, stderr_by_tag, diagnostics) -> None:
-    seed = args.seed if args.seed is not None else cfg.seed
-    for ai in sorted(groups):
-        amp = amp_of[ai]
-        datasets = groups[ai]
-        n_bar = cfg.em.n_max or max(default_truncation(ds) for ds in datasets)
-        em_cfg = dataclasses.replace(cfg.em, n_max=n_bar)
-        if "wigner" in cfg.targets:
-            reports = bootstrap(datasets, wigner_pipeline(em_cfg), args.bootstrap, seed)
-            for rep in reports:
-                stderr_by_tag[rep.tag] = rep.stddev
-        if "dm" in cfg.targets:
-            pipe = dm_pipeline(amp, cfg.s_max, cfg.m_max if cfg.m_max is not None else n_bar - cfg.s_max,
-                               em_cfg, svd_cutoff=cfg.svd_cutoff)
-            reports = bootstrap(datasets, pipe, args.bootstrap, seed)
-            for rep in reports:
-                stderr_by_tag[f"{amp!r}:{rep.tag}"] = rep.stddev
-    diagnostics["bootstrap"] = {"replicas": args.bootstrap, "seed": seed}
+    Stores each tag's stddev under ``prefix + tag`` and appends the replicas
+    that reconstructed and the ones that failed to ``diag["outcomes"]``; a
+    BootstrapError propagates.
+    """
+    reports = bootstrap(datasets, pipeline, n_replicas, diag["seed"])
+    for rep in reports:
+        stderr_by_tag[prefix + rep.tag] = rep.stddev
+    succeeded = reports[0].replicas
+    diag["outcomes"].append({"amp": amp, "target": target, "succeeded": succeeded,
+                             "failed": n_replicas - succeeded})
 
 
 def cmd_report(args) -> int:

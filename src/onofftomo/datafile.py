@@ -103,6 +103,8 @@ class DatasetBundle:
             mod = doc["modulation"]
             amp = mod["amp"]
             amps = tuple(float(a) for a in amp) if isinstance(amp, list) else (float(amp),)
+            if len(set(amps)) != len(amps):
+                raise ValueError("modulation amplitudes must be distinct")
             phases = tuple(float(p) for p in mod["phases"])
             grid = EfficiencyGrid(np.array([float(e) for e in doc["grid"]["etas"]]))
             counts = {}

@@ -17,10 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import OnOffDataset
-from .emrecon import EMConfig, reconstruct_pn
+from .emrecon import EMConfig, reconstruct_pn_batch
+from .emrecon import reconstruct_pn  # noqa: F401  (perfbench/tracer.py patches it here)
 from .errors import BootstrapError, ReconstructionError
 from .fock import FockDensityMatrix, _freeze
-from .inversion import DensityMatrixResult, _alternating_sum, reconstruct_density_matrix
+from .inversion import (
+    DEFAULT_SVD_CUTOFF,
+    DensityMatrixResult,
+    _alternating_sum,
+    reconstruct_density_matrix,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -53,11 +59,11 @@ def wigner_pipeline(em_config: EMConfig | None = None):
     """EM -> parity value at each dataset's own modulation point."""
 
     def run(datasets):
-        out = {}
-        for ds in datasets:
-            res = reconstruct_pn(ds, em_config)
-            out[wigner_tag(ds.amp, ds.phase)] = _alternating_sum(res.distribution.probs)
-        return out
+        results = reconstruct_pn_batch(datasets, em_config)
+        return {
+            wigner_tag(ds.amp, ds.phase): _alternating_sum(res.distribution.probs)
+            for ds, res in zip(datasets, results)
+        }
 
     return run
 
@@ -65,22 +71,25 @@ def wigner_pipeline(em_config: EMConfig | None = None):
 def dm_pipeline(
     amp: float,
     s_max: int,
-    m_max: int,
+    m_max: int | None,
     em_config: EMConfig,
     *,
-    svd_cutoff: float = 1e-8,
+    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ):
     """EM per phase -> phase Fourier + kernel inversion -> element table.
 
     The datasets must be the phase records of a single amplitude, ordered by
     phase; the EM truncation must be pinned in ``em_config`` so every phase
-    shares it.
+    shares it.  ``m_max`` (None fits the widest range the kernel rank
+    supports) and ``svd_cutoff`` go to :func:`reconstruct_density_matrix`
+    as given, so with the point estimate's values every replica runs the
+    point estimate's estimator.
     """
     if em_config.n_max is None:
         raise ValueError("dm_pipeline needs a fixed em_config.n_max")
 
     def run(datasets):
-        dists = [reconstruct_pn(ds, em_config).distribution for ds in datasets]
+        dists = [res.distribution for res in reconstruct_pn_batch(datasets, em_config)]
         result = reconstruct_density_matrix(
             dists, amp, s_max=s_max, m_max=m_max, svd_cutoff=svd_cutoff
         )

@@ -155,6 +155,83 @@ class TestReconstruct:
         assert diag["failures"]
         assert (tmp_path / "out" / "wigner.csv").exists()
 
+    def _partial_failure_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "coherent", "z": 0.8},
+            modulation={"amps": [0.2], "n_phases": 8},
+            shots=2000,
+            targets=["dm", "wigner"],
+            dm={"s_max": 1, "m_max": 8, "svd_cutoff": 0.99},
+            em={"tol": 1e-8, "max_iter": 300, "accelerate": False},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        return cfg, str(tmp_path / "out" / "dataset.json")
+
+    def test_partial_failure_manifest_with_bootstrap(self, tmp_path):
+        cfg, data = self._partial_failure_config(tmp_path)
+        args = ["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "4"]
+        assert main(args) == 3
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert [f["target"] for f in diag["failures"]] == ["dm"]
+        # the dm failure leaves the wigner bootstrap standing
+        header, rows = read_csv(str(tmp_path / "out" / "wigner.csv"))
+        assert len(rows) == 8 and all(r[header.index("stderr")] for r in rows)
+        assert diag["bootstrap"]["outcomes"] == [
+            {"amp": 0.2, "target": "wigner", "succeeded": 4, "failed": 0}
+        ]
+
+    def test_bootstrap_failure_is_recorded(self, tmp_path, monkeypatch):
+        # a BootstrapError after a successful point estimate keeps the point
+        # estimate's rows and lands in the failure manifest
+        from onofftomo import cli
+        from onofftomo.errors import BootstrapError
+
+        def failing_bootstrap(*args, **kwargs):
+            raise BootstrapError("3/4 bootstrap replicas failed to reconstruct")
+
+        monkeypatch.setattr(cli, "bootstrap", failing_bootstrap)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, em={"n_max": 6, "tol": 1e-9, "max_iter": 2000})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "4"]) == 3
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["failures"] == [
+            {"amp": 0.0, "target": "wigner",
+             "error": "3/4 bootstrap replicas failed to reconstruct"}
+        ]
+        assert diag["bootstrap"]["outcomes"] == []
+        header, rows = read_csv(str(tmp_path / "out" / "wigner.csv"))
+        assert len(rows) == 1 and rows[0][header.index("stderr")] == ""
+
+    def test_dm_bootstrap_with_automatic_m_range(self, tmp_path):
+        # with m_max null the replicas fit the same m range as the point
+        # estimate, so every dm.csv row (up to n = m = n_max) gets a stderr
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "coherent", "z": 1.8},
+            modulation={"amps": [0.1], "n_phases": 12},
+            shots=30000,
+            targets=["pn", "dm"],
+            dm={"s_max": 1, "m_max": None},
+            em={"n_max": None, "tol": 1e-12, "max_iter": 3000, "accelerate": False},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "3"]) == 0
+        header, rows = read_csv(str(tmp_path / "out" / "dm.csv"))
+        idx = {h: i for i, h in enumerate(header)}
+        n_max = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["em"][0]["n_max"]
+        assert ["0", str(n_max), str(n_max)] in [[r[idx["s"]], r[idx["n"]], r[idx["m"]]] for r in rows]
+        assert all(r[idx["stderr"]] for r in rows)
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["bootstrap"]["outcomes"] == [
+            {"amp": 0.1, "target": "dm", "succeeded": 3, "failed": 0}
+        ]
+
 
 class TestReport:
     def _prepare(self, tmp_path):

@@ -95,6 +95,13 @@ class TestSchema:
         with pytest.raises(ValueError):
             DatasetBundle.from_document(doc)
 
+    def test_duplicate_amplitude_rejected(self):
+        # records are grouped per amplitude, so a repeated one would merge
+        doc = make_bundle(n_amps=2).to_document()
+        doc["modulation"]["amp"][1] = doc["modulation"]["amp"][0]
+        with pytest.raises(ValueError):
+            DatasetBundle.from_document(doc)
+
     def test_out_of_range_index_rejected(self):
         doc = make_bundle().to_document()
         doc["records"][0]["phase_index"] = 99
