@@ -292,6 +292,8 @@ def _exact_bundle(cfg: RunConfig) -> tuple[FockDensityMatrix, dict]:
 def cmd_reconstruct(args) -> int:
     cfg = load_config(args.config)
     out_dir = _resolve_out_dir(args.out, cfg.out_dir)
+    if args.bootstrap is not None and args.bootstrap < 2:
+        raise ConfigError(f"--bootstrap B needs B >= 2, got {args.bootstrap}")
     if args.exact and args.bootstrap:
         raise ConfigError("--bootstrap needs sampled data; it cannot run with --exact")
     if not args.exact and not args.data:

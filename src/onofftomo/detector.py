@@ -8,7 +8,11 @@ modulation point (displacement amplitude and phase).
 Sampling is counter-based: each (seed, phase_index, efficiency_index) cell
 owns a Philox substream and draws its count by inverting the binomial CDF on
 a single uniform, so results do not depend on iteration order or thread
-count.
+count.  The inversion is vectorised over the cells of a phase record: the
+CDF is the regularized incomplete beta (scipy.special.betainc), each count
+starts from a normal-approximation guess and steps by one until it is the
+smallest c with CDF(c) >= u.  scipy.special is imported only when counts are
+sampled, so the rest of the package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
+from .errors import IllConditionedError
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockDensityMatrix,
@@ -173,14 +177,41 @@ def _cell_uniform(seed: int, phase_index: int, eta_index: int) -> float:
     return float(gen.random())
 
 
-def _binomial_inverse(u: float, n: int, p: float) -> int:
-    """Smallest c with BinomialCDF(c; n, p) >= u (CDF inversion)."""
-    if p >= 1.0:
-        return n
-    if p <= 0.0:
-        return 0
-    c = int(stats.binom.ppf(u, n, p))
-    return min(max(c, 0), n)
+def _binomial_inverse(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """Smallest c in [0, n] with BinomialCDF(c; n, p) >= u, cell by cell.
+
+    CDF(c) = I_{1-p}(n - c, c + 1), the regularized incomplete beta.  Each
+    cell starts from the normal guess floor(n p + ndtri(u) sqrt(n p (1 - p)))
+    and every unsettled cell steps by one together until
+    CDF(c - 1) < u <= CDF(c); from 7 to 10^12 trials that takes at most
+    about three steps.  A non-finite CDF value raises instead of returning
+    the guess.
+    """
+    from scipy.special import betainc, ndtri
+
+    u = np.asarray(u, dtype=float)
+    p = np.asarray(p, dtype=float)
+    counts = np.where(p >= 1.0, n, 0).astype(np.int64)
+    live = ~((p >= 1.0) | (p <= 0.0))
+    u, p = u[live], p[live]
+
+    def cdf(c):
+        k = np.clip(c, 0, n - 1)
+        val = np.where(c < 0, 0.0, np.where(c >= n, 1.0, betainc(n - k, k + 1, 1.0 - p)))
+        if not np.all(np.isfinite(val)):
+            raise IllConditionedError(f"binomial CDF is not finite at n={n}")
+        return val
+
+    with np.errstate(invalid="ignore"):
+        guess = np.floor(n * p + ndtri(u) * np.sqrt(n * p * (1.0 - p)))
+    c = np.clip(np.nan_to_num(guess), 0, n).astype(np.int64)
+    while True:
+        step = (cdf(c) < u).astype(np.int64) - ((c > 0) & (cdf(c - 1) >= u))
+        if not step.any():
+            break
+        c += step
+    counts[live] = c
+    return counts
 
 
 def simulate_dataset(
@@ -219,10 +250,8 @@ def simulate_dataset(
                 rho, modulation.alpha(l), n_max, tail_tol=tail_tol
             )
         p_off = off_probabilities(dist, grid)
-        counts = np.empty(grid.size, dtype=np.int64)
-        for k in range(grid.size):
-            u = _cell_uniform(seed, l + 1, k + 1)
-            counts[k] = _binomial_inverse(u, shots, p_off[k])
+        u = np.array([_cell_uniform(seed, l + 1, k + 1) for k in range(grid.size)])
+        counts = _binomial_inverse(u, shots, p_off)
         datasets.append(
             OnOffDataset(
                 grid=grid,

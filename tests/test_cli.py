@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +313,21 @@ class TestExitCodes:
         cfg.write_text("{not json")
         assert main(["simulate", "--config", str(cfg)]) == 4
 
+    @pytest.mark.parametrize("replicas", ["1", "0", "-1"])
+    def test_bootstrap_needs_two_replicas(self, tmp_path, capsys, replicas):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        rec = tmp_path / "rec"
+        capsys.readouterr()
+        args = ["reconstruct", "--config", str(cfg), "--data", data, "--out", str(rec),
+                "--bootstrap", replicas]
+        assert main(args) == 2
+        assert os.listdir(rec) == []
+        err = capsys.readouterr().err
+        assert "B >= 2" in err and err.count("\n") == 1
+
     def test_selftest_passes(self):
         assert main(["selftest"]) == 0
 
@@ -321,3 +339,25 @@ class TestExitCodes:
         monkeypatch.setenv("ONOFFTOMO_OUT", str(tmp_path / "envout"))
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert (tmp_path / "envout" / "dataset.json").exists()
+
+
+class TestStartup:
+    """The CLI starts on numpy alone; sampling counts loads only scipy.special."""
+
+    SCRIPT = """
+import sys
+import onofftomo.cli
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+from onofftomo import ModulationSpec, make_thermal, simulate_dataset, uniform_grid
+simulate_dataset(make_thermal(1.0, 30), ModulationSpec.uniform(0.5, 2), uniform_grid(0.67, 5),
+                 shots=10**12, seed=3)
+print('scipy.stats' in sys.modules)
+"""
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert out == ["[]", "False"]

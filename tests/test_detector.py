@@ -21,6 +21,8 @@ from onofftomo import (
     simulate_dataset,
     uniform_grid,
 )
+from onofftomo.detector import _binomial_inverse
+from onofftomo.errors import IllConditionedError
 from conftest import geometric_pmf, poisson_pmf
 
 
@@ -187,3 +189,27 @@ class TestSimulation:
             rho, ModulationSpec.uniform(0.3, 1), high_grid, 100, seed=5, n_max=20
         )
         assert data[0].off_counts.size == high_grid.size
+
+
+class TestBinomialInverse:
+    """The vectorised CDF inversion against scipy.stats.binom.ppf, cell for cell."""
+
+    @pytest.mark.parametrize("n", [1, 7, 30000, 10**12])
+    def test_matches_scipy_ppf(self, n):
+        from scipy import stats
+
+        rng = np.random.default_rng(n)
+        u = rng.random(4000)
+        edge = 10 ** rng.uniform(-15, 0, 2000)
+        p = np.concatenate([rng.random(2000), edge[:1000], 1.0 - edge[1000:]])
+        want = np.clip(stats.binom.ppf(u, n, p), 0, n).astype(np.int64)
+        assert np.array_equal(_binomial_inverse(u, n, p), want)
+
+    def test_edges(self):
+        u = np.array([0.0, 0.3, 0.999, 0.0, 0.7, 0.0, 0.5])
+        p = np.array([0.0, 0.0, 1.0, 1.0, 0.4, 0.4, 1e-300])
+        assert _binomial_inverse(u, 50, p).tolist() == [0, 0, 50, 50, 22, 0, 0]
+
+    def test_non_finite_cdf_raises(self):
+        with pytest.raises(IllConditionedError):
+            _binomial_inverse(np.array([0.5, 0.5]), 100, np.array([0.3, np.nan]))

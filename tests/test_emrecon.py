@@ -322,3 +322,24 @@ def test_readme_dataset_golden_hash(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "dataset.json").read_bytes()).hexdigest()
     assert digest == README_DATASET_SHA256
+
+
+# SHA-256 of dataset.json from a small fixed-seed run at 10^12 shots: pins the
+# sampler's CDF inversion at the trial counts of the oracle-scale datasets
+HIGH_SHOTS_DATASET_SHA256 = "07c844f397245e6253b963a2f1a8500925c7e2ff113dc1af67595805905584a8"
+
+
+def test_high_shots_dataset_golden_hash(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "state": {"kind": "thermal", "n_th": 1.0},
+        "modulation": {"amps": [1.0], "n_phases": 4},
+        "grid": {"k": 8, "eta_max": 0.67},
+        "shots": 10**12,
+        "seed": 5,
+        "targets": ["pn"],
+        "output": {"dir": str(tmp_path / "out")},
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "dataset.json").read_bytes()).hexdigest()
+    assert digest == HIGH_SHOTS_DATASET_SHA256
