@@ -40,7 +40,6 @@ from .errors import (
 )
 from .fock import (
     DEFAULT_TAIL_TOL,
-    Displacement,
     FockDensityMatrix,
     PhotonDistribution,
     displaced_photon_distribution,
@@ -75,7 +74,6 @@ __all__ = [
     "DEFAULT_TAIL_TOL",
     "DeltaMap",
     "DensityMatrixResult",
-    "Displacement",
     "EMConfig",
     "EMResult",
     "EfficiencyGrid",

@@ -42,7 +42,7 @@ from .datafile import (
 from .detector import ModulationSpec, simulate_dataset, uniform_grid
 from .emrecon import EMConfig, default_truncation, reconstruct_pn_batch
 from .emrecon import reconstruct_pn  # noqa: F401  (perfbench/tracer.py patches it here)
-from .errors import ConfigError, ReconstructionError
+from .errors import ConfigError, ReconstructionError, TruncationError
 from .fock import (
     FockDensityMatrix,
     displaced_photon_distribution_auto,
@@ -220,8 +220,6 @@ def build_state(spec: dict) -> tuple[FockDensityMatrix, int]:
         trunc = int(spec["n_max"])
         return factory(trunc), trunc
     trunc = math.ceil(mean + 6.0 * math.sqrt(mean) + 10.0)
-    from .errors import TruncationError
-
     while True:
         try:
             return factory(trunc), trunc
@@ -277,16 +275,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _exact_bundle(cfg: RunConfig) -> tuple[FockDensityMatrix, dict]:
-    """Analytic displaced distributions per (amp_index, phase_index)."""
-    rho, _ = build_state(cfg.state)
-    phases = 2.0 * math.pi * np.arange(cfg.n_phases) / cfg.n_phases
-    dists = {}
-    for ai, amp in enumerate(cfg.amps):
-        for pi, phase in enumerate(phases):
-            alpha = amp * cmath.exp(1j * phase)
-            dists[(ai, pi)] = displaced_photon_distribution_auto(rho, alpha)
-    return rho, dists
+_CSV_HEADERS = {
+    "pn": ["amp", "phase", "n", "p"],
+    "wigner": ["amp", "phase", "re_alpha", "im_alpha", "wigner", "stderr", "flagged"],
+    "dm": ["amp", "s", "n", "m", "real", "imag", "stderr", "condition", "residual", "reliable"],
+}
 
 
 def cmd_reconstruct(args) -> int:
@@ -299,21 +292,9 @@ def cmd_reconstruct(args) -> int:
     if not args.exact and not args.data:
         raise ConfigError("reconstruct needs --data FILE (or --exact)")
 
-    diagnostics: dict = {"em": [], "dm": {}, "failures": []}
-    pn_rows, wigner_rows, dm_rows = [], [], []
-    stderr_by_tag: dict[str, float] = {}
-
-    if args.exact:
-        rho, dists = _exact_bundle(cfg)
-        phases = 2.0 * math.pi * np.arange(cfg.n_phases) / cfg.n_phases
-        groups = {
-            amp: [(phases[pi], dists[(ai, pi)]) for pi in range(cfg.n_phases)]
-            for ai, amp in enumerate(cfg.amps)
-        }
-        diagnostics["mode"] = "exact"
-    else:
-        groups = read_dataset_file(args.data).by_amp()
-        diagnostics["mode"] = "data"
+    diagnostics: dict = {"em": [], "dm": {}, "failures": [],
+                         "mode": "exact" if args.exact else "data"}
+    rows: dict[str, list] = {target: [] for target in _CSV_HEADERS}
     if args.bootstrap:
         seed = args.seed if args.seed is not None else cfg.seed
         diagnostics["bootstrap"] = {"replicas": args.bootstrap, "seed": seed, "outcomes": []}
@@ -321,12 +302,36 @@ def cmd_reconstruct(args) -> int:
     def record_failure(amp, target, err):
         diagnostics["failures"].append({"amp": amp, "target": target, "error": str(err)})
 
-    for amp, group in groups.items():
+    def bootstrap_stderr(amp, target, datasets, make_pipeline) -> dict[str, float]:
+        """One target's bootstrap at one amplitude: {tag: stddev}, {} on failure."""
+        if not args.bootstrap:
+            return {}
+        boot = diagnostics["bootstrap"]
+        try:
+            reports = bootstrap(datasets, make_pipeline(), args.bootstrap, boot["seed"])
+        except ReconstructionError as err:
+            record_failure(amp, target, err)
+            return {}
+        succeeded = reports[0].replicas
+        boot["outcomes"].append({"amp": amp, "target": target, "succeeded": succeeded,
+                                 "failed": args.bootstrap - succeeded})
+        return {rep.tag: rep.stddev for rep in reports}
+
+    if args.exact:
+        rho, _ = build_state(cfg.state)
+        phases = list(2.0 * math.pi * np.arange(cfg.n_phases) / cfg.n_phases)
+        groups = dict.fromkeys(cfg.amps)
+    else:
+        groups = read_dataset_file(args.data).by_amp()
+
+    for amp, datasets in groups.items():
+        # the photon-number distributions at every phase of this amplitude
+        # feed all three read-outs
         if args.exact:
-            dist_list = [d for _, d in group]
-            phase_list = [ph for ph, _ in group]
+            dists = [displaced_photon_distribution_auto(rho, amp * cmath.exp(1j * phase))
+                     for phase in phases]
         else:
-            datasets = group
+            phases = [ds.phase for ds in datasets]
             n_bar = cfg.em.n_max or max(default_truncation(ds) for ds in datasets)
             em_cfg = dataclasses.replace(cfg.em, n_max=n_bar)
             try:
@@ -334,110 +339,60 @@ def cmd_reconstruct(args) -> int:
             except ReconstructionError as err:
                 record_failure(amp, "em", err)
                 continue
-            dist_list = [r.distribution for r in results]
-            phase_list = [ds.phase for ds in datasets]
-            for ds, r in zip(datasets, results):
-                diagnostics["em"].append(
-                    {
-                        "amp": ds.amp,
-                        "phase": ds.phase,
-                        "n_max": n_bar,
-                        "iterations": r.iterations,
-                        "converged": r.converged,
-                        "residual": r.residual,
-                        "final_ll": r.final_ll,
-                        "ll_decreases": r.ll_decreases,
-                    }
-                )
+            dists = [r.distribution for r in results]
+            diagnostics["em"] += [
+                {"amp": ds.amp, "phase": ds.phase, "n_max": n_bar, "iterations": r.iterations,
+                 "converged": r.converged, "residual": r.residual, "final_ll": r.final_ll,
+                 "ll_decreases": r.ll_decreases}
+                for ds, r in zip(datasets, results)
+            ]
 
         if "pn" in cfg.targets:
-            for phase, dist in zip(phase_list, dist_list):
-                for n, p in enumerate(dist.probs):
-                    pn_rows.append((amp, phase, n, float(p)))
+            rows["pn"] += [(amp, phase, n, float(p))
+                           for phase, dist in zip(phases, dists) for n, p in enumerate(dist.probs)]
 
         # each target's point estimate and bootstrap fail on their own, so a
         # rank-deficient dm kernel keeps the wigner rows and their stderr
         if "wigner" in cfg.targets:
-            try:
-                table = {
-                    complex(amp * cmath.exp(1j * phase)): dist
-                    for phase, dist in zip(phase_list, dist_list)
-                }
-                wmap = wigner_map_from_data(table)
-                for pt, phase in zip(wmap.points, phase_list):
-                    row = [amp, phase, pt.alpha.real, pt.alpha.imag, pt.value, None, pt.flagged]
-                    if args.conventional_wigner:
-                        row.append(conventional_wigner_value(pt.value))
-                    wigner_rows.append(tuple(row))
-                if args.bootstrap:
-                    _attach_bootstrap(amp, "wigner", wigner_pipeline(em_cfg), datasets,
-                                      args.bootstrap, stderr_by_tag, diagnostics["bootstrap"])
-            except ReconstructionError as err:
-                record_failure(amp, "wigner", err)
+            wmap = wigner_map_from_data(
+                (amp * cmath.exp(1j * phase), dist) for phase, dist in zip(phases, dists))
+            stderr = bootstrap_stderr(amp, "wigner", datasets, lambda: wigner_pipeline(em_cfg))
+            for phase, pt in zip(phases, wmap.points):
+                row = [amp, phase, pt.alpha.real, pt.alpha.imag, pt.value,
+                       stderr.get(wigner_tag(amp, phase)), pt.flagged]
+                if args.conventional_wigner:
+                    row.append(conventional_wigner_value(pt.value))
+                rows["wigner"].append(row)
 
         if "dm" in cfg.targets:
+            uniform_phases_or_error(phases)
             try:
-                uniform_phases_or_error(phase_list)
                 res = reconstruct_density_matrix(
-                    dist_list,
-                    amp,
-                    s_max=cfg.s_max,
-                    m_max=cfg.m_max,
-                    svd_cutoff=cfg.svd_cutoff,
-                    residual_bound=cfg.residual_bound,
+                    dists, amp, s_max=cfg.s_max, m_max=cfg.m_max,
+                    svd_cutoff=cfg.svd_cutoff, residual_bound=cfg.residual_bound,
                 )
-                diagnostics["dm"][repr(amp)] = [
-                    {
-                        "s": f.s,
-                        "condition": f.condition,
-                        "residual": f.residual,
-                        "reliable": f.reliable,
-                    }
-                    for f in res.fits
-                ]
-                for f in res.fits:
-                    for m, v in enumerate(f.values):
-                        dm_rows.append(
-                            (amp, f.s, m + f.s, m, v.real, v.imag, None,
-                             f.condition, f.residual, f.reliable)
-                        )
-                if args.bootstrap:
-                    pipe = dm_pipeline(amp, cfg.s_max, cfg.m_max, em_cfg, svd_cutoff=cfg.svd_cutoff)
-                    _attach_bootstrap(amp, "dm", pipe, datasets, args.bootstrap,
-                                      stderr_by_tag, diagnostics["bootstrap"], prefix=f"{amp!r}:")
             except ReconstructionError as err:
                 record_failure(amp, "dm", err)
-
-    if args.bootstrap:
-        wigner_rows = [
-            row[:5] + (stderr_by_tag.get(wigner_tag(row[0], row[1])),) + row[6:]
-            for row in wigner_rows
-        ]
-        dm_rows = [
-            row[:6] + (stderr_by_tag.get(f"{row[0]!r}:" + dm_tag(row[2], row[3])),) + row[7:]
-            for row in dm_rows
-        ]
+                continue
+            diagnostics["dm"][repr(amp)] = [
+                {"s": f.s, "condition": f.condition, "residual": f.residual, "reliable": f.reliable}
+                for f in res.fits
+            ]
+            stderr = bootstrap_stderr(amp, "dm", datasets, lambda: dm_pipeline(
+                amp, cfg.s_max, cfg.m_max, em_cfg, svd_cutoff=cfg.svd_cutoff))
+            rows["dm"] += [
+                (amp, f.s, m + f.s, m, v.real, v.imag, stderr.get(dm_tag(m + f.s, m)),
+                 f.condition, f.residual, f.reliable)
+                for f in res.fits for m, v in enumerate(f.values)
+            ]
 
     wrote = []
-    if "pn" in cfg.targets:
-        path = os.path.join(out_dir, "pn.csv")
-        write_csv(path, ["amp", "phase", "n", "p"], pn_rows)
-        wrote.append(path)
-    if "wigner" in cfg.targets:
-        header = ["amp", "phase", "re_alpha", "im_alpha", "wigner", "stderr", "flagged"]
-        if args.conventional_wigner:
-            header.append("conventional")
-        path = os.path.join(out_dir, "wigner.csv")
-        write_csv(path, header, wigner_rows)
-        wrote.append(path)
-    if "dm" in cfg.targets:
-        path = os.path.join(out_dir, "dm.csv")
-        write_csv(
-            path,
-            ["amp", "s", "n", "m", "real", "imag", "stderr", "condition", "residual", "reliable"],
-            dm_rows,
-        )
-        wrote.append(path)
+    for target, header in _CSV_HEADERS.items():
+        if target in cfg.targets:
+            if target == "wigner" and args.conventional_wigner:
+                header = header + ["conventional"]
+            wrote.append(os.path.join(out_dir, f"{target}.csv"))
+            write_csv(wrote[-1], header, rows[target])
     diag_path = os.path.join(out_dir, "diagnostics.json")
     write_text_atomic(diag_path, dumps_canonical(diagnostics))
     wrote.append(diag_path)
@@ -449,20 +404,22 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _attach_bootstrap(amp, target, pipeline, datasets, n_replicas, stderr_by_tag, diag,
-                      prefix="") -> None:
-    """Bootstrap one target's point-estimate estimator for one amplitude.
+def _read_table(path: str, columns: list[str]) -> list[list[str]] | None:
+    """The named columns of a results CSV, row by row; None if the file is absent.
 
-    Stores each tag's stddev under ``prefix + tag`` and appends the replicas
-    that reconstructed and the ones that failed to ``diag["outcomes"]``; a
-    BootstrapError propagates.
+    A missing column or a row of the wrong width raises ConfigError (exit 2)
+    naming the file.
     """
-    reports = bootstrap(datasets, pipeline, n_replicas, diag["seed"])
-    for rep in reports:
-        stderr_by_tag[prefix + rep.tag] = rep.stddev
-    succeeded = reports[0].replicas
-    diag["outcomes"].append({"amp": amp, "target": target, "succeeded": succeeded,
-                             "failed": n_replicas - succeeded})
+    if not os.path.exists(path):
+        return None
+    header, rows = read_csv(path)
+    for col in columns:
+        if col not in header:
+            raise ConfigError(f"{path}: missing column {col!r}")
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigError(f"{path}: a row's width differs from the header's")
+    idx = [header.index(col) for col in columns]
+    return [[row[i] for i in idx] for row in rows]
 
 
 def cmd_report(args) -> int:
@@ -470,69 +427,51 @@ def cmd_report(args) -> int:
     out_dir = _resolve_out_dir(args.out, None) if args.out else results
     wrote = []
 
-    wigner_path = os.path.join(results, "wigner.csv")
-    if os.path.exists(wigner_path):
-        header, rows = read_csv(wigner_path)
-        idx = {h: i for i, h in enumerate(header)}
-        parsed = sorted(
-            rows, key=lambda r: (float(r[idx["amp"]]), float(r[idx["phase"]]))
+    def emit(name, header, out_rows):
+        wrote.append(os.path.join(out_dir, name))
+        write_csv(wrote[-1], header, out_rows)
+
+    rows = _read_table(os.path.join(results, "wigner.csv"), ["amp", "phase", "wigner", "stderr"])
+    if rows is not None:
+        out_rows = sorted(
+            ((float(amp), float(phase), float(w), float(se) if se else None)
+             for amp, phase, w, se in rows),
+            key=lambda r: r[:2],
         )
-        out_rows = [
-            (float(r[idx["amp"]]), float(r[idx["phase"]]), float(r[idx["wigner"]]),
-             float(r[idx["stderr"]]) if r[idx["stderr"]] else None)
-            for r in parsed
-        ]
-        path = os.path.join(out_dir, "wigner_radial.csv")
-        write_csv(path, ["amp", "phase", "wigner", "stderr"], out_rows)
-        wrote.append(path)
+        emit("wigner_radial.csv", ["amp", "phase", "wigner", "stderr"], out_rows)
         print("wigner radial profile (amp, value):")
         for amp, phase, w, se in out_rows:
             err = f" +- {se:.3g}" if se is not None else ""
             print(f"  r={amp:<8g} phi={phase:<8.4g} W={w:+.6f}{err}")
 
-    pn_path = os.path.join(results, "pn.csv")
-    if os.path.exists(pn_path):
-        header, rows = read_csv(pn_path)
-        idx = {h: i for i, h in enumerate(header)}
-        out_rows = [
-            (float(r[idx["amp"]]), float(r[idx["phase"]]), int(r[idx["n"]]), float(r[idx["p"]]))
-            for r in rows
-        ]
-        path = os.path.join(out_dir, "pn_table.csv")
-        write_csv(path, ["amp", "phase", "n", "p"], out_rows)
-        wrote.append(path)
-        first = [r for r in out_rows if (r[0], r[1]) == (out_rows[0][0], out_rows[0][1])]
-        print(f"photon distribution at amp={first[0][0]:g}, phase={first[0][1]:g}:")
-        for _, _, n, p in first[:12]:
-            print(f"  p[{n:>2}] = {p:.6f} |{'#' * int(round(40 * p))}")
+    rows = _read_table(os.path.join(results, "pn.csv"), ["amp", "phase", "n", "p"])
+    if rows is not None:
+        out_rows = [(float(amp), float(phase), int(n), float(p)) for amp, phase, n, p in rows]
+        emit("pn_table.csv", ["amp", "phase", "n", "p"], out_rows)
+        if out_rows:
+            first = [r for r in out_rows if r[:2] == out_rows[0][:2]]
+            print(f"photon distribution at amp={first[0][0]:g}, phase={first[0][1]:g}:")
+            for _, _, n, p in first[:12]:
+                print(f"  p[{n:>2}] = {p:.6f} |{'#' * int(round(40 * p))}")
 
-    dm_path = os.path.join(results, "dm.csv")
     theory = None
     if args.config:
         cfg = load_config(args.config)
         theory, _ = build_state(cfg.state)
-    if os.path.exists(dm_path):
-        header, rows = read_csv(dm_path)
-        idx = {h: i for i, h in enumerate(header)}
+    rows = _read_table(os.path.join(results, "dm.csv"), ["n", "m", "real", "imag"])
+    if rows is not None:
         out_rows = []
-        for r in rows:
-            re, im = float(r[idx["real"]]), float(r[idx["imag"]])
-            out_rows.append((int(r[idx["n"]]), int(r[idx["m"]]), re, im, math.hypot(re, im)))
-        path = os.path.join(out_dir, "dm_table.csv")
-        write_csv(path, ["n", "m", "real", "imag", "abs"], out_rows)
-        wrote.append(path)
+        for n, m, re, im in rows:
+            re, im = float(re), float(im)
+            out_rows.append((int(n), int(m), re, im, math.hypot(re, im)))
+        emit("dm_table.csv", ["n", "m", "real", "imag", "abs"], out_rows)
         print("density-matrix elements (n, m, |value|):")
         for n, m, re, im, mag in out_rows[:12]:
             print(f"  <{n}|rho|{m}> = {re:+.5f}{im:+.5f}j  |.|={mag:.5f}")
         if theory is not None:
-            deltas = []
-            for n, m, re, im, _ in out_rows:
-                if n < theory.dim and m < theory.dim:
-                    ref = theory.entries[n, m]
-                    deltas.append((n, m, abs(complex(re, im) - ref)))
-            path = os.path.join(out_dir, "delta.csv")
-            write_csv(path, ["n", "m", "delta"], deltas)
-            wrote.append(path)
+            deltas = [(n, m, abs(complex(re, im) - theory.entries[n, m]))
+                      for n, m, re, im, _ in out_rows if n < theory.dim and m < theory.dim]
+            emit("delta.csv", ["n", "m", "delta"], deltas)
             if deltas:
                 worst = max(d for _, _, d in deltas)
                 print(f"delta map vs theory: {len(deltas)} entries, max delta = {worst:.3e}")

@@ -182,5 +182,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path} is empty")
     header = lines[0].split(",")
     return header, [ln.split(",") for ln in lines[1:]]

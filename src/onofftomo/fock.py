@@ -12,7 +12,6 @@ threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,30 +32,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class Displacement:
-    """Coherent displacement amplitude alpha (dimensionless field units)."""
-
-    amplitude: complex
-
-    @property
-    def intensity(self) -> float:
-        """|alpha|^2, the mean photon number the displacement injects."""
-        return abs(complex(self.amplitude)) ** 2
-
-    @property
-    def phase(self) -> float:
-        return cmath.phase(complex(self.amplitude))
-
-    def __complex__(self) -> complex:
-        return complex(self.amplitude)
-
-
-def _as_amplitude(alpha) -> complex:
-    """Accept Displacement, complex or real-valued amplitudes."""
-    return complex(alpha)
 
 
 @dataclass(frozen=True)
@@ -192,7 +167,7 @@ def displaced_padding(alpha) -> int:
 
     Covers the Poisson-like spread of displaced tails: ceil(4|a|^2 + 8|a| + 10).
     """
-    a = abs(_as_amplitude(alpha))
+    a = abs(complex(alpha))
     return math.ceil(4.0 * a * a + 8.0 * a + 10.0)
 
 
@@ -235,7 +210,7 @@ def displacement_element(n: int, m: int, alpha, *, log_bound: float = _LOG_BOUND
     """
     if n < 0 or m < 0:
         raise ValueError("Fock indices must be non-negative")
-    a = _as_amplitude(alpha)
+    a = complex(alpha)
     if a == 0:
         return complex(1.0 if n == m else 0.0)
     if n < m:
@@ -326,7 +301,7 @@ def displacement_matrix(alpha, dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    a = _as_amplitude(alpha)
+    a = complex(alpha)
     if a == 0:
         return np.eye(dim, dtype=complex)
     out = _lower_displacement_block(a, dim)
@@ -353,7 +328,7 @@ def displaced_photon_distribution(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     tol = rho.tail_tol if tail_tol is None else tail_tol
-    a = _as_amplitude(alpha)
+    a = complex(alpha)
     if a == 0:
         diag = rho.entries.diagonal().real.copy()
         if n_max + 1 >= diag.size:
@@ -386,7 +361,7 @@ def displaced_photon_distribution(
 
 def suggest_displaced_truncation(rho: FockDensityMatrix, alpha) -> int:
     """Energy-based first guess for the truncation of a displaced state."""
-    bound = (math.sqrt(max(rho.mean_photon, 0.0)) + abs(_as_amplitude(alpha))) ** 2
+    bound = (math.sqrt(max(rho.mean_photon, 0.0)) + abs(complex(alpha))) ** 2
     return math.ceil(bound + 6.0 * math.sqrt(bound) + 10.0)
 
 
@@ -430,7 +405,7 @@ def make_coherent(z, n_max: int, *, tail_tol: float = DEFAULT_TAIL_TOL) -> FockD
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    zc = _as_amplitude(z)
+    zc = complex(z)
     amps = np.empty(n_max + 1, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(zc) ** 2)
     for n in range(n_max):

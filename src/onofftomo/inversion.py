@@ -62,7 +62,6 @@ def parity_wigner_point(dist: PhotonDistribution, *, tail_bound: float = DEFAULT
 class WignerPoint:
     alpha: complex
     value: float
-    stderr: float | None = None
     flagged: bool = False
 
     def __post_init__(self):
@@ -75,7 +74,6 @@ class WignerMap:
     """Parity-convention Wigner values over a grid of displacements."""
 
     points: tuple[WignerPoint, ...]
-    convention: str = "parity"
 
     def alphas(self) -> np.ndarray:
         return np.array([pt.alpha for pt in self.points])
@@ -112,38 +110,19 @@ def wigner_map_exact(
     return WignerMap(points=tuple(points))
 
 
-def wigner_map_from_data(
-    distributions,
-    grid=None,
-    *,
-    tail_bound: float = DEFAULT_TAIL_BOUND,
-) -> WignerMap:
-    """Data-path Wigner map from reconstructed distributions keyed by alpha.
+def wigner_map_from_data(pairs, *, tail_bound: float = DEFAULT_TAIL_BOUND) -> WignerMap:
+    """Data-path Wigner map: one point per (alpha, distribution) pair, in order.
 
-    Args:
-        distributions: mapping alpha -> PhotonDistribution (or an iterable of
-            (alpha, distribution) pairs).
-        grid: displacements to evaluate; defaults to every key.  A grid node
-            with no reconstruction is an error.
-
-    Points whose distribution presses against its truncation edge (mass above
-    ``tail_bound``) are flagged rather than dropped.
+    Several pairs may share an alpha (every phase record at amplitude 0 does);
+    each keeps its own point.  Points whose distribution presses against its
+    truncation edge (mass above ``tail_bound``) are flagged rather than
+    dropped.
     """
-    table = dict(distributions.items() if hasattr(distributions, "items") else distributions)
-    nodes = list(table.keys()) if grid is None else [complex(a) for a in grid]
-    points = []
-    for a in nodes:
-        if a not in table:
-            raise ValueError(f"no reconstructed distribution for alpha={a!r}")
-        dist = table[a]
-        points.append(
-            WignerPoint(
-                alpha=complex(a),
-                value=_alternating_sum(dist.probs),
-                flagged=dist.edge_mass > tail_bound,
-            )
-        )
-    return WignerMap(points=tuple(points))
+    return WignerMap(points=tuple(
+        WignerPoint(alpha=complex(a), value=_alternating_sum(dist.probs),
+                    flagged=dist.edge_mass > tail_bound)
+        for a, dist in pairs
+    ))
 
 
 def phase_fourier(dists, s: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .detector import ModulationSpec, simulate_dataset, uniform_grid
+from .detector import ModulationSpec, OnOffDataset, off_probabilities, simulate_dataset, uniform_grid
 from .emrecon import EMConfig, em_step, reconstruct_pn
 from .fock import (
     displaced_photon_distribution,
@@ -22,7 +22,6 @@ from .fock import (
     make_thermal,
 )
 from .inversion import build_kernel, reconstruct_density_matrix, wigner_map_exact
-from .detector import OnOffDataset, off_probabilities
 
 
 def _check_displacement_identity() -> float:

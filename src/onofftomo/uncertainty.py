@@ -24,8 +24,8 @@ from .fock import FockDensityMatrix, _freeze
 from .inversion import (
     DEFAULT_SVD_CUTOFF,
     DensityMatrixResult,
-    _alternating_sum,
     reconstruct_density_matrix,
+    wigner_map_from_data,
 )
 
 logger = logging.getLogger(__name__)
@@ -60,10 +60,8 @@ def wigner_pipeline(em_config: EMConfig | None = None):
 
     def run(datasets):
         results = reconstruct_pn_batch(datasets, em_config)
-        return {
-            wigner_tag(ds.amp, ds.phase): _alternating_sum(res.distribution.probs)
-            for ds, res in zip(datasets, results)
-        }
+        wmap = wigner_map_from_data((ds.alpha, r.distribution) for ds, r in zip(datasets, results))
+        return {wigner_tag(ds.amp, ds.phase): pt.value for ds, pt in zip(datasets, wmap.points)}
 
     return run
 

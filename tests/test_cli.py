@@ -235,6 +235,59 @@ class TestReconstruct:
             {"amp": 0.1, "target": "dm", "succeeded": 3, "failed": 0}
         ]
 
+    def test_wigner_row_per_record_at_shared_alpha(self, tmp_path):
+        # at amp 0 every phase record has alpha 0; each still gets its own row,
+        # value and stderr
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "thermal", "n_th": 1.0},
+            modulation={"amps": [0.0, 0.5], "n_phases": 4},
+            shots=30000,
+            seed=3,
+            targets=["pn", "wigner"],
+            em={"tol": 1e-10, "max_iter": 500, "accelerate": False},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "4"]) == 0
+        header, rows = read_csv(str(tmp_path / "out" / "wigner.csv"))
+        idx = {h: i for i, h in enumerate(header)}
+        assert len(rows) == 8 and all(r[idx["stderr"]] for r in rows)
+        parity: dict = {}
+        for amp, phase, n, p in read_csv(str(tmp_path / "out" / "pn.csv"))[1]:
+            parity[(amp, phase)] = parity.get((amp, phase), 0.0) + (-1) ** int(n) * float(p)
+        assert len(parity) == 8
+        for r in rows:
+            assert float(r[idx["wigner"]]) == pytest.approx(
+                parity[(r[idx["amp"]], r[idx["phase"]])], abs=1e-12)
+
+    def test_dm_bootstrap_over_two_amplitudes(self, tmp_path):
+        # each amplitude's dm rows carry the stderr of that amplitude's bootstrap
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "coherent", "z": 1.0},
+            modulation={"amps": [0.3, 0.6], "n_phases": 4},
+            shots=30000,
+            targets=["dm"],
+            dm={"s_max": 1, "m_max": 4},
+            em={"tol": 1e-12, "max_iter": 500, "accelerate": False},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "3"]) == 0
+        header, rows = read_csv(str(tmp_path / "out" / "dm.csv"))
+        idx = {h: i for i, h in enumerate(header)}
+        assert rows and all(r[idx["stderr"]] for r in rows)
+        stderr = {amp: {(r[idx["n"]], r[idx["m"]]): r[idx["stderr"]]
+                        for r in rows if r[idx["amp"]] == amp} for amp in ("0.3", "0.6")}
+        assert stderr["0.3"].keys() == stderr["0.6"].keys() and len(stderr["0.3"]) == 10
+        assert all(stderr["0.3"][k] != stderr["0.6"][k] for k in stderr["0.3"])
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert [(o["amp"], o["target"]) for o in diag["bootstrap"]["outcomes"]] == [
+            (0.3, "dm"), (0.6, "dm")]
+
 
 class TestReport:
     def _prepare(self, tmp_path):
@@ -288,6 +341,27 @@ class TestReport:
     def test_empty_results_dir_rejected(self, tmp_path):
         os.makedirs(tmp_path / "nothing")
         assert main(["report", "--results", str(tmp_path / "nothing")]) == 2
+
+    def test_header_only_pn_table(self, tmp_path, capsys):
+        # reconstruct writes a header-only pn.csv when every amplitude's EM fails
+        (tmp_path / "pn.csv").write_text("amp,phase,n,p\n")
+        assert main(["report", "--results", str(tmp_path)]) == 0
+        assert read_csv(str(tmp_path / "pn_table.csv")) == (["amp", "phase", "n", "p"], [])
+        assert "photon distribution" not in capsys.readouterr().out
+
+    def test_missing_column_rejected(self, tmp_path, capsys):
+        path = tmp_path / "wigner.csv"
+        path.write_text("amp,phase,wigner\n0.0,0.0,0.5\n")
+        capsys.readouterr()
+        assert main(["report", "--results", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'stderr'" in err and err.count("\n") == 1
+
+    def test_empty_results_file_rejected(self, tmp_path, capsys):
+        (tmp_path / "dm.csv").write_text("")
+        capsys.readouterr()
+        assert main(["report", "--results", str(tmp_path)]) == 2
+        assert "dm.csv is empty" in capsys.readouterr().err
 
 
 class TestExitCodes:

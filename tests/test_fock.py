@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onofftomo import (
-    Displacement,
     FockDensityMatrix,
     PhotonDistribution,
     TruncationError,
@@ -52,11 +51,6 @@ class TestDisplacementElement:
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError):
             displacement_element(-1, 0, 0.5)
-
-    def test_displacement_dataclass_coerces(self):
-        d = Displacement(0.5 + 0.5j)
-        assert d.intensity == pytest.approx(0.5)
-        assert displacement_element(0, 0, d) == displacement_element(0, 0, 0.5 + 0.5j)
 
 
 class TestDisplacementMatrix:

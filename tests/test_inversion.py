@@ -110,12 +110,14 @@ class TestWignerMaps:
         assert abs(fine[np.argmax(vals)] - z) <= 0.1
 
     def test_data_mode_lookup_and_missing(self):
-        dist = make_fock(0, 0).diagonal_distribution()
-        table = {0j: dist}
-        wmap = wigner_map_from_data(table, grid=[0j])
-        assert wmap.points[0].value == 1.0
-        with pytest.raises(ValueError):
-            wigner_map_from_data(table, grid=[1 + 0j])
+        # one point per (alpha, distribution) pair, in order, even when pairs
+        # share an alpha; no pairs give no points
+        vac = make_fock(0, 0).diagonal_distribution()
+        one = make_fock(1, 1).diagonal_distribution()
+        wmap = wigner_map_from_data([(0j, vac), (1 + 0j, vac), (0j, one)])
+        assert wmap.alphas().tolist() == [0j, 1 + 0j, 0j]
+        assert wmap.values().tolist() == [1.0, 1.0, -1.0]
+        assert wigner_map_from_data([]).points == ()
 
     def test_data_mode_flags_fat_tails(self):
         fat = PhotonDistribution(geometric_pmf(3.0, 6))
