@@ -52,6 +52,7 @@ from .fock import (
     make_thermal,
 )
 from .inversion import (
+    _check_inversion,
     conventional_wigner_value,
     reconstruct_density_matrix,
     wigner_map_from_data,
@@ -317,22 +318,31 @@ def cmd_reconstruct(args) -> int:
                                  "failed": args.bootstrap - succeeded})
         return {rep.tag: rep.stddev for rep in reports}
 
+    # amp -> (phases, records, EM truncation); exact mode has no records and
+    # learns its truncation per distribution
     if args.exact:
         rho, _ = build_state(cfg.state)
         phases = list(2.0 * math.pi * np.arange(cfg.n_phases) / cfg.n_phases)
-        groups = dict.fromkeys(cfg.amps)
+        groups = {amp: (phases, None, None) for amp in cfg.amps}
     else:
-        groups = read_dataset_file(args.data).by_amp()
+        groups = {amp: ([ds.phase for ds in datasets], datasets,
+                        cfg.em.n_max or max(default_truncation(ds) for ds in datasets))
+                  for amp, datasets in read_dataset_file(args.data).by_amp().items()}
+    if "dm" in cfg.targets:
+        # a dm input that no data can rescue fails before any EM runs
+        for amp, (phases, _, n_bar) in groups.items():
+            try:
+                _check_inversion(amp, cfg.s_max, cfg.m_max, n_bar, uniform_phases_or_error(phases))
+            except ValueError as err:
+                raise ConfigError(f"dm at amp {amp!r}: {err}") from err
 
-    for amp, datasets in groups.items():
+    for amp, (phases, datasets, n_bar) in groups.items():
         # the photon-number distributions at every phase of this amplitude
         # feed all three read-outs
         if args.exact:
             dists = [displaced_photon_distribution_auto(rho, amp * cmath.exp(1j * phase))
                      for phase in phases]
         else:
-            phases = [ds.phase for ds in datasets]
-            n_bar = cfg.em.n_max or max(default_truncation(ds) for ds in datasets)
             em_cfg = dataclasses.replace(cfg.em, n_max=n_bar)
             try:
                 results = reconstruct_pn_batch(datasets, em_cfg)
@@ -365,7 +375,6 @@ def cmd_reconstruct(args) -> int:
                 rows["wigner"].append(row)
 
         if "dm" in cfg.targets:
-            uniform_phases_or_error(phases)
             try:
                 res = reconstruct_density_matrix(
                     dists, amp, s_max=cfg.s_max, m_max=cfg.m_max,

@@ -337,8 +337,6 @@ def reconstruct_pn_batch(datasets, config: EMConfig | None = None) -> list[EMRes
     datasets = list(datasets)
     blocks: dict = {}
     for i, ds in enumerate(datasets):
-        if ds.grid.size < 2:
-            raise ValueError("need at least 2 efficiencies")
         n_max = cfg.n_max if cfg.n_max is not None else default_truncation(ds)
         key = i if cfg.accelerate else (n_max, ds.grid.etas.tobytes())
         blocks.setdefault(key, (n_max, []))[1].append(i)

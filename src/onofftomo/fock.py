@@ -26,6 +26,7 @@ _TRACE_SLACK = 1e-12
 _LOG_BOUND = 700.0  # exp() overflow threshold for matrix-element magnitudes
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
+_MAX_DISPLACED_DIM = 4000  # cap on the grown truncation of a displaced state
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -162,15 +163,6 @@ class FockDensityMatrix:
         return PhotonDistribution(self.entries.diagonal().real, tail=self.tail)
 
 
-def displaced_padding(alpha) -> int:
-    """Extra working dimension needed when displacing by alpha.
-
-    Covers the Poisson-like spread of displaced tails: ceil(4|a|^2 + 8|a| + 10).
-    """
-    a = abs(complex(alpha))
-    return math.ceil(4.0 * a * a + 8.0 * a + 10.0)
-
-
 def _laguerre_scaled(m: int, d: int, x: float) -> tuple[float, float]:
     """Associated Laguerre L_m^(d)(x) as (mantissa, log_scale).
 
@@ -196,7 +188,7 @@ def _laguerre_scaled(m: int, d: int, x: float) -> tuple[float, float]:
     return cur, scale
 
 
-def displacement_element(n: int, m: int, alpha, *, log_bound: float = _LOG_BOUND) -> complex:
+def displacement_element(n: int, m: int, alpha) -> complex:
     """Matrix element <n|D(alpha)|m> of the displacement operator.
 
     For n >= m this is sqrt(m!/n!) alpha^(n-m) e^(-|alpha|^2/2) L_m^(n-m)(|alpha|^2);
@@ -205,8 +197,9 @@ def displacement_element(n: int, m: int, alpha, *, log_bound: float = _LOG_BOUND
     so the evaluation stays finite well past n = 170.
 
     Raises:
-        TruncationError: if an intermediate log-magnitude exceeds ``log_bound``
-            (never happens for physical arguments, |<n|D|m>| <= 1).
+        TruncationError: if an intermediate log-magnitude exceeds the exp()
+            overflow threshold (never happens for physical arguments,
+            |<n|D|m>| <= 1).
     """
     if n < 0 or m < 0:
         raise ValueError("Fock indices must be non-negative")
@@ -214,7 +207,7 @@ def displacement_element(n: int, m: int, alpha, *, log_bound: float = _LOG_BOUND
     if a == 0:
         return complex(1.0 if n == m else 0.0)
     if n < m:
-        return complex(np.conj(displacement_element(m, n, -a, log_bound=log_bound)))
+        return complex(np.conj(displacement_element(m, n, -a)))
     abs_a = abs(a)
     x = abs_a * abs_a
     d = n - m
@@ -228,9 +221,9 @@ def displacement_element(n: int, m: int, alpha, *, log_bound: float = _LOG_BOUND
         + lscale
         + math.log(abs(mant))
     )
-    if logmag > log_bound:
+    if logmag > _LOG_BOUND:
         raise TruncationError(
-            f"displacement element ({n},{m}) magnitude exceeds exp({log_bound:g})"
+            f"displacement element ({n},{m}) magnitude exceeds exp({_LOG_BOUND:g})"
         )
     mag = math.exp(logmag)
     unit = (a / abs_a) ** d if d else 1.0
@@ -320,34 +313,26 @@ def displaced_photon_distribution(
 ) -> PhotonDistribution:
     """Diagonal of D(alpha) rho D(alpha)^dagger truncated to n_max.
 
-    The working dimension pads beyond ``n_max`` by ``displaced_padding(alpha)``
-    so the displaced state is rotated in a large enough space; the returned
-    vector must still capture all but ``tail_tol`` of the mass, otherwise a
-    TruncationError reports that n_max is too small for this displacement.
+    D(alpha) is built only as large as rho and the kept rows n <= n_max
+    need: each element comes from its own recurrence, so the kept rows do
+    not depend on that size.  The returned vector must capture all but
+    ``tail_tol`` of the mass, otherwise a TruncationError reports that n_max
+    is too small for this displacement.
+
+    Raises:
+        ValueError: if the displaced diagonal goes negative, which no
+            truncation can cause: rho is not positive semidefinite.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     tol = rho.tail_tol if tail_tol is None else tail_tol
-    a = complex(alpha)
-    if a == 0:
-        diag = rho.entries.diagonal().real.copy()
-        if n_max + 1 >= diag.size:
-            p = np.zeros(n_max + 1)
-            p[: diag.size] = diag
-        else:
-            p = diag[: n_max + 1]
-        tail = 1.0 - float(p.sum())
-    else:
-        work = max(rho.dim, n_max + 1 + displaced_padding(a))
-        disp = displacement_matrix(a, work)[:, : rho.dim]
-        rotated = disp @ rho.entries
-        p_full = np.einsum("nk,nk->n", rotated, disp.conj()).real
-        p = p_full[: n_max + 1].copy()
-        tail = 1.0 - float(p.sum())
+    disp = displacement_matrix(alpha, max(rho.dim, n_max + 1))[: n_max + 1, : rho.dim]
+    p = np.einsum("nk,nk->n", disp @ rho.entries, disp.conj()).real
+    tail = 1.0 - float(p.sum())
     if np.any(p < -_DIAG_NEG_TOL):
-        raise TruncationError(
+        raise ValueError(
             f"displaced diagonal went negative ({p.min():.3e}); "
-            "working dimension too small"
+            "the state is not positive semidefinite"
         )
     p[p < 0] = 0.0
     tail = max(0.0, tail)
@@ -359,32 +344,26 @@ def displaced_photon_distribution(
     return PhotonDistribution(p, tail=tail)
 
 
-def suggest_displaced_truncation(rho: FockDensityMatrix, alpha) -> int:
-    """Energy-based first guess for the truncation of a displaced state."""
-    bound = (math.sqrt(max(rho.mean_photon, 0.0)) + abs(complex(alpha))) ** 2
-    return math.ceil(bound + 6.0 * math.sqrt(bound) + 10.0)
-
-
 def displaced_photon_distribution_auto(
     rho: FockDensityMatrix,
     alpha,
     *,
     tail_tol: float | None = None,
-    max_dim: int = 4000,
 ) -> PhotonDistribution:
     """Displaced distribution with the truncation grown until the tail fits.
 
     Starts from the energy-based guess (enough for Poisson-like tails) and
     widens geometrically for heavier ones, e.g. displaced thermal states.
     """
-    trunc = suggest_displaced_truncation(rho, alpha)
+    bound = (math.sqrt(max(rho.mean_photon, 0.0)) + abs(complex(alpha))) ** 2
+    trunc = math.ceil(bound + 6.0 * math.sqrt(bound) + 10.0)
     while True:
         try:
             return displaced_photon_distribution(rho, alpha, trunc, tail_tol=tail_tol)
         except TruncationError:
-            if trunc >= max_dim:
+            if trunc >= _MAX_DISPLACED_DIM:
                 raise
-            trunc = min(max_dim, math.ceil(trunc * 1.6) + 10)
+            trunc = min(_MAX_DISPLACED_DIM, math.ceil(trunc * 1.6) + 10)
 
 
 def _poisson_vector(mean: float, n_max: int) -> np.ndarray:

@@ -26,7 +26,6 @@ from .fock import (
     FockDensityMatrix,
     PhotonDistribution,
     _freeze,
-    displaced_photon_distribution,
     displaced_photon_distribution_auto,
     displacement_matrix,
 )
@@ -91,36 +90,31 @@ def wigner_map_exact(
     rho: FockDensityMatrix,
     alphas,
     *,
-    n_max: int | None = None,
     tail_tol: float = 1e-6,
 ) -> WignerMap:
     """Analytic-path Wigner map: displaced distributions from rho itself.
 
-    This is the oracle route; the displaced tail must fit within tail_tol at
-    every grid node (by default the truncation grows per node until it does).
+    This is the oracle route; the truncation grows per grid node until the
+    displaced tail fits within tail_tol.
     """
-    points = []
-    for a in np.asarray(alphas, dtype=complex):
-        if n_max is None:
-            dist = displaced_photon_distribution_auto(rho, a, tail_tol=tail_tol)
-        else:
-            dist = displaced_photon_distribution(rho, a, n_max, tail_tol=tail_tol)
-        value = parity_wigner_point(dist, tail_bound=max(tail_tol, dist.edge_mass))
-        points.append(WignerPoint(alpha=complex(a), value=value))
-    return WignerMap(points=tuple(points))
+    return WignerMap(points=tuple(
+        WignerPoint(alpha=complex(a), value=_alternating_sum(
+            displaced_photon_distribution_auto(rho, a, tail_tol=tail_tol).probs))
+        for a in np.asarray(alphas, dtype=complex)
+    ))
 
 
-def wigner_map_from_data(pairs, *, tail_bound: float = DEFAULT_TAIL_BOUND) -> WignerMap:
+def wigner_map_from_data(pairs) -> WignerMap:
     """Data-path Wigner map: one point per (alpha, distribution) pair, in order.
 
     Several pairs may share an alpha (every phase record at amplitude 0 does);
     each keeps its own point.  Points whose distribution presses against its
-    truncation edge (mass above ``tail_bound``) are flagged rather than
-    dropped.
+    truncation edge (mass above ``DEFAULT_TAIL_BOUND``) are flagged rather
+    than dropped.
     """
     return WignerMap(points=tuple(
         WignerPoint(alpha=complex(a), value=_alternating_sum(dist.probs),
-                    flagged=dist.edge_mass > tail_bound)
+                    flagged=dist.edge_mass > DEFAULT_TAIL_BOUND)
         for a, dist in pairs
     ))
 
@@ -153,6 +147,24 @@ def phase_fourier(dists, s: int) -> np.ndarray:
     stack = np.stack(probs)
     phases = 2.0 * math.pi * np.arange(n_phi) / n_phi
     return np.exp(1j * s * phases) @ stack / n_phi
+
+
+def _check_inversion(amp: float, s: int, m_max: int | None, n_max: int | None,
+                     n_phi: int | None = None) -> None:
+    """The rules an inversion up to harmonic s needs, checked before any work.
+
+    ``m_max`` None stands for the automatic range (m >= 0); ``n_max`` or
+    ``n_phi`` None skips the rules that need them.
+    """
+    need = s + (m_max or 0)
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    if n_max is not None and n_max < need:
+        raise ValueError(f"distribution truncation n_max={n_max} too small for m_max + s = {need}")
+    if n_phi is not None and n_phi <= 2 * s:
+        raise AliasingError(f"N_phi={n_phi} cannot resolve harmonic s={s} (need N_phi > 2s)")
+    if s > 0 and amp == 0:
+        raise ValueError("zero displacement carries no off-diagonal information")
 
 
 @dataclass(frozen=True)
@@ -201,27 +213,21 @@ def build_kernel(
 ) -> KernelInverse:
     """Assemble G^(s) and its pseudo-inverse for subdiagonal order s.
 
-    Requires amp > 0 when s > 0 (zero displacement carries no off-diagonal
-    information) and n_max >= m_max + s.
+    Requires a real amp, amp > 0 when s > 0 (zero displacement carries no
+    off-diagonal information) and n_max >= m_max + s.
 
     Raises:
         RankDeficiencyError: if fewer than m_max + 1 singular values survive
             the relative cutoff; the error names the largest safe m.
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    if complex(amp).imag != 0:
+        raise ValueError("kernel displacement must have real amplitude")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     if amp < 0 or not math.isfinite(amp):
         raise ValueError("amp must be finite and >= 0")
-    if s > 0 and amp == 0:
-        raise ValueError("zero displacement carries no off-diagonal information")
-    if n_max < m_max + s:
-        raise ValueError(f"n_max={n_max} must be >= m_max + s = {m_max + s}")
-    disp = displacement_matrix(amp, max(n_max, m_max + s) + 1)
-    if float(np.abs(disp.imag).max()) > 1e-14:
-        raise ValueError("kernel displacement must have real amplitude")
-    d = disp.real[: n_max + 1]
+    _check_inversion(amp, s, m_max, n_max)
+    d = displacement_matrix(amp, n_max + 1).real
     G = d[:, s : m_max + s + 1] * d[:, : m_max + 1]
     u, sg, vt = np.linalg.svd(G, full_matrices=False)
     keep = sg > svd_cutoff * sg[0]
@@ -336,21 +342,9 @@ def reconstruct_density_matrix(
     dists = list(dists)
     if not dists:
         raise ValueError("need at least one distribution")
-    if s_max < 0:
-        raise ValueError("s_max must be >= 0")
     n_max = dists[0].n_max
+    _check_inversion(amp, s_max, m_max, n_max, len(dists))
     auto_m = m_max is None
-    if not auto_m and n_max < m_max + s_max:
-        raise ValueError(
-            f"distribution truncation n_max={n_max} too small for "
-            f"m_max + s_max = {m_max + s_max}"
-        )
-    if auto_m and n_max < s_max:
-        raise ValueError(f"distribution truncation n_max={n_max} below s_max={s_max}")
-    if len(dists) <= 2 * s_max:
-        raise AliasingError(
-            f"N_phi={len(dists)} cannot resolve s_max={s_max} (need N_phi > 2*s_max)"
-        )
     fits = []
     for s in range(s_max + 1):
         ptilde = phase_fourier(dists, s)

@@ -30,6 +30,8 @@ from .inversion import (
 
 logger = logging.getLogger(__name__)
 
+_MAX_FAILURE_FRACTION = 0.2  # failed replicas beyond this share abort the bootstrap
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -107,8 +109,6 @@ def bootstrap(
     pipeline,
     n_replicas: int,
     seed: int,
-    *,
-    max_failure_fraction: float = 0.2,
 ) -> list[ErrorReport]:
     """Nonparametric error bars for everything the pipeline reports.
 
@@ -118,8 +118,8 @@ def bootstrap(
         n_replicas: B >= 2 bootstrap replications.
         seed: base seed; fixed seed => identical reports.
 
-    Replica-level reconstruction failures are counted; more than
-    ``max_failure_fraction`` of them aborts with BootstrapError.
+    Replica-level reconstruction failures are counted; more than a fifth of
+    them aborts with BootstrapError.
     """
     datasets = list(datasets)
     if n_replicas < 2:
@@ -138,7 +138,7 @@ def bootstrap(
             continue
         for tag, value in values.items():
             samples[tag].append(value)
-    if failures > max_failure_fraction * n_replicas:
+    if failures > _MAX_FAILURE_FRACTION * n_replicas:
         raise BootstrapError(
             f"{failures}/{n_replicas} bootstrap replicas failed to reconstruct"
         )

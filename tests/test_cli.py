@@ -402,6 +402,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "B >= 2" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("overrides, phases, amp, reason", [
+        ({"modulation": {"amps": [0.0, 0.5], "n_phases": 4}}, None, "0.0",
+         "zero displacement"),
+        ({"dm": {"s_max": 1, "m_max": 40}}, None, "0.5", "too small for m_max + s"),
+        ({"modulation": {"amps": [0.5], "n_phases": 2}}, None, "0.5", "cannot resolve"),
+        ({}, [0.0, 1.0, 2.0, 3.0], "0.5", "uniform phase grid"),
+    ], ids=["amp0", "m_max", "aliasing", "phases"])
+    def test_dm_preconditions_checked_before_em(self, tmp_path, capsys, monkeypatch,
+                                                overrides, phases, amp, reason):
+        from onofftomo import cli
+
+        def no_em(*args, **kwargs):
+            raise AssertionError("EM ran before the dm preconditions were checked")
+
+        cfg = tmp_path / "cfg.json"
+        doc = {"state": {"kind": "coherent", "z": 1.8},
+               "modulation": {"amps": [0.5], "n_phases": 4},
+               "grid": {"k": 6, "eta_max": 0.67}, "shots": 2000,
+               "targets": ["pn", "wigner", "dm"], "dm": {"s_max": 1}, **overrides}
+        write_config(cfg, **doc)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = tmp_path / "out" / "dataset.json"
+        if phases is not None:
+            bundle = json.loads(data.read_text())
+            bundle["modulation"]["phases"] = phases
+            data.write_text(json.dumps(bundle))
+        monkeypatch.setattr(cli, "reconstruct_pn_batch", no_em)
+        rec = tmp_path / "rec"
+        capsys.readouterr()
+        args = ["reconstruct", "--config", str(cfg), "--data", str(data), "--out", str(rec)]
+        assert main(args) == 2
+        assert os.listdir(rec) == []
+        err = capsys.readouterr().err
+        assert f"amp {amp}" in err and reason in err and err.count("\n") == 1
+
     def test_selftest_passes(self):
         assert main(["selftest"]) == 0
 

@@ -76,6 +76,12 @@ class TestDisplacementMatrix:
         gram = mat @ mat.conj().T
         assert np.abs(gram[:25, :25] - np.eye(25)).max() < 1e-12
 
+    @pytest.mark.parametrize("a", [0.4 + 0.3j, -1.1 + 1.7j, 3.0 * cmath.exp(2.2j)])
+    def test_leading_block_independent_of_dimension(self, a):
+        # every element has its own recurrence, so a displaced distribution
+        # needs no working space beyond the rows it returns
+        assert np.array_equal(displacement_matrix(a, 30), displacement_matrix(a, 120)[:30, :30])
+
 
 class TestDisplacedDistribution:
     def test_zero_displacement_returns_diagonal(self):
@@ -100,6 +106,14 @@ class TestDisplacedDistribution:
         rho = make_coherent(2.0, 50)
         with pytest.raises(TruncationError):
             displaced_photon_distribution(rho, 2.0, 4)
+
+    def test_non_psd_state_rejected(self):
+        # Hermitian with eigenvalue -0.1: no truncation makes its displaced
+        # diagonal non-negative, so this is a ValueError, not a TruncationError
+        rho = FockDensityMatrix(np.array([[0.5, 0.6], [0.6, 0.5]]))
+        with pytest.raises(ValueError, match="not positive semidefinite") as err:
+            displaced_photon_distribution(rho, 1.0, 10)
+        assert not isinstance(err.value, TruncationError)
 
     def test_round_trip_forward_and_back(self):
         # displacing by alpha then -alpha at padded dimension restores rho

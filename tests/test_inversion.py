@@ -174,6 +174,16 @@ class TestKernel:
         with pytest.raises(ValueError):
             build_kernel(1, 0.0, 10, 5)
 
+    def test_real_amplitude_with_rounding_residue(self):
+        # displacement_matrix(12.0, 260) carries ~1e-14 imaginary rounding
+        # residue; a real amp still builds its kernel
+        kern = build_kernel(0, 12.0, 259, 5)
+        assert kern.forward.shape == (260, 6) and np.isfinite(kern.condition)
+
+    def test_complex_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="real amplitude"):
+            build_kernel(1, np.complex128(0.5 + 0.1j), 10, 3)
+
     def test_dimension_precondition(self):
         with pytest.raises(ValueError):
             build_kernel(2, 0.5, 8, 8)
