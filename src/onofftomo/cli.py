@@ -45,6 +45,7 @@ from .emrecon import reconstruct_pn  # noqa: F401  (perfbench/tracer.py patches 
 from .errors import ConfigError, ReconstructionError, TruncationError
 from .fock import (
     FockDensityMatrix,
+    displaced_photon_distribution,
     displaced_photon_distribution_auto,
     make_coherent,
     make_fock,
@@ -324,6 +325,8 @@ def cmd_reconstruct(args) -> int:
         rho, _ = build_state(cfg.state)
         phases = list(2.0 * math.pi * np.arange(cfg.n_phases) / cfg.n_phases)
         groups = {amp: (phases, None, None) for amp in cfg.amps}
+        # exact distributions grow to the rows a dm fit needs
+        dm_rows = cfg.s_max + (cfg.m_max or 0) if "dm" in cfg.targets else 0
     else:
         groups = {amp: ([ds.phase for ds in datasets], datasets,
                         cfg.em.n_max or max(default_truncation(ds) for ds in datasets))
@@ -335,19 +338,26 @@ def cmd_reconstruct(args) -> int:
                 _check_inversion(amp, cfg.s_max, cfg.m_max, n_bar, uniform_phases_or_error(phases))
             except ValueError as err:
                 raise ConfigError(f"dm at amp {amp!r}: {err}") from err
+    if not args.exact:
+        # one EM call for every record, each at its amplitude's truncation
+        records = [(ds, n_bar) for _, datasets, n_bar in groups.values() for ds in datasets]
+        solved = iter(reconstruct_pn_batch([ds for ds, _ in records], cfg.em,
+                                           n_max=[n_bar for _, n_bar in records]))
 
     for amp, (phases, datasets, n_bar) in groups.items():
         # the photon-number distributions at every phase of this amplitude
         # feed all three read-outs
         if args.exact:
-            dists = [displaced_photon_distribution_auto(rho, amp * cmath.exp(1j * phase))
-                     for phase in phases]
+            alphas = [amp * cmath.exp(1j * phase) for phase in phases]
+            dists = [displaced_photon_distribution_auto(rho, alpha) for alpha in alphas]
+            dists = [d if d.n_max >= dm_rows else displaced_photon_distribution(rho, a, dm_rows)
+                     for a, d in zip(alphas, dists)]
         else:
             em_cfg = dataclasses.replace(cfg.em, n_max=n_bar)
-            try:
-                results = reconstruct_pn_batch(datasets, em_cfg)
-            except ReconstructionError as err:
-                record_failure(amp, "em", err)
+            results = [next(solved) for _ in datasets]
+            failed = [r for r in results if isinstance(r, ReconstructionError)]
+            if failed:
+                record_failure(amp, "em", failed[0])
                 continue
             dists = [r.distribution for r in results]
             diagnostics["em"] += [

@@ -21,9 +21,11 @@ which leaves the fixed points (and the exact-data invariance) untouched while
 cutting the iteration count by orders of magnitude.
 
 The plain iteration runs on a block of records at once: rows that share an
-efficiency grid and a truncation form an (R, n_max + 1) array, so one pass
-is two matrix products for the whole block.  Every row keeps its own
-stopping test and diagnostics.  Anderson extrapolation stays per record.
+efficiency grid form an (R, n_max + 1) array, zero-padded up to the largest
+truncation among them, so one pass is two matrix products for the whole
+block.  Every row keeps its own stopping test and diagnostics, and a row
+that fails numerically leaves the block with its error.  Anderson
+extrapolation stays per record.
 """
 
 from __future__ import annotations
@@ -150,19 +152,30 @@ def _model_off(A: np.ndarray, P: np.ndarray) -> np.ndarray:
     iteration, whose accept decisions and pass counts follow the rounding,
     does not depend on the block form.
     """
-    p_off = P @ A.T
-    if p_off.min() < _DIV_FLOOR:
-        raise IllConditionedError(
-            f"model off probability underflowed ({p_off.min():.3e}); "
-            "iteration abandoned"
+    return P @ A.T
+
+
+def _row_failures(prenorm: np.ndarray, p_off: np.ndarray) -> dict[int, IllConditionedError]:
+    """The error of every row whose model off probability underflowed or whose
+    update mass is not positive and finite, keyed by row."""
+    low = p_off.min(axis=1)
+    bad = (low < _DIV_FLOOR) | ~((prenorm > 0) & (prenorm < np.inf))
+    return {
+        j: IllConditionedError(
+            f"model off probability underflowed ({low[j]:.3e}); iteration abandoned"
+            if low[j] < _DIV_FLOOR
+            else f"update produced non-finite mass {float(prenorm[j])!r}"
         )
-    return p_off
+        for j in np.flatnonzero(bad).tolist()
+    }
 
 
 def _rows_ll(counts: np.ndarray, on: np.ndarray, p_off: np.ndarray) -> np.ndarray:
-    """:func:`_binomial_ll` of every row of a block, summed row-wise."""
-    with np.errstate(divide="ignore"):
-        log_on = np.log1p(-p_off, where=on > 0, out=np.zeros_like(p_off))
+    """:func:`_binomial_ll` of every row of a block, summed row-wise.
+
+    Called with divide-by-zero warnings off (an off probability of 1).
+    """
+    log_on = np.log1p(-p_off, where=on > 0, out=np.zeros_like(p_off))
     return (counts * np.log(p_off) + on * log_on).sum(axis=1)
 
 
@@ -170,14 +183,12 @@ def _update(P: np.ndarray, P_off: np.ndarray, F: np.ndarray, W: np.ndarray):
     """One multiplicative update of every row of P, renormalized.
 
     Returns (new rows, update bracket, pre-normalization sums).  A row whose
-    raw mass is not positive and finite fails the whole block.
+    raw mass is not positive and finite comes out non-finite;
+    :func:`_row_failures` names it.
     """
     bracket = (F / P_off) @ W
     new = P * bracket
     prenorm = new.sum(axis=1)
-    for total in prenorm.tolist():
-        if not (total > 0 and math.isfinite(total)):
-            raise IllConditionedError(f"update produced non-finite mass {total!r}")
     new /= prenorm[:, None]
     return new, bracket, prenorm
 
@@ -191,7 +202,12 @@ def em_step(p: PhotonDistribution, data: OnOffDataset) -> PhotonDistribution:
     A = _thinning_matrix(data.grid.etas, p.n_max)
     W = A / A.sum(axis=0, keepdims=True)
     P = p.probs[None]
-    new, _, _ = _update(P, _model_off(A, P), data.frequencies[None], W)
+    P_off = _model_off(A, P)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new, _, prenorm = _update(P, P_off, data.frequencies[None], W)
+    failed = _row_failures(prenorm, P_off)
+    if failed:
+        raise failed[0]
     return PhotonDistribution(new[0])
 
 
@@ -215,7 +231,8 @@ class _Anderson:
 
     def step(self, bracket: np.ndarray, plain: np.ndarray, plain_off: np.ndarray):
         """Next (p, p_off, ll): the extrapolated candidate if it keeps the
-        log-likelihood of the plain update, else the plain update."""
+        log-likelihood of the plain update, else the plain update.  A
+        candidate whose model off probability underflows is rejected."""
         r = np.log(np.clip(bracket, _DIV_FLOOR, None))
         if self.prev_log_p is not None:
             self.dx.append(self.log_p - self.prev_log_p)
@@ -234,7 +251,7 @@ class _Anderson:
             cand = np.clip(cand, _DIV_FLOOR, None)
             cand /= cand.sum()
             cand_off = _model_off(self.A, cand[None])[0]
-            cand_ll = self.ll(cand_off)
+            cand_ll = self.ll(cand_off) if cand_off.min() >= _DIV_FLOOR else -math.inf
             if cand_ll >= ll - _SAFEGUARD_SLACK * max(1.0, abs(ll)):
                 p, p_off, ll = cand, cand_off, cand_ll
         self.log_p = np.log(p)
@@ -271,78 +288,103 @@ def _result(p, iterations, converged, residual, prenorm, ll_hist, cfg) -> EMResu
     )
 
 
-def _solve_block(datasets: list[OnOffDataset], n_max: int, cfg: EMConfig) -> list[EMResult]:
-    """EM on an (R, n_max + 1) block of records that share one efficiency grid.
+def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
+                 cfg: EMConfig) -> list[EMResult | IllConditionedError]:
+    """EM on a block of records that share one efficiency grid.
 
-    Every row starts from the uniform distribution and keeps its own
-    stopping test, pre-normalization sum and likelihood history; a row that
-    converges leaves the block.  With ``cfg.accelerate`` the block must be a
-    single record.
+    Row i holds record i's distribution over 0..n_maxes[i], zero-padded up to
+    the block's largest truncation.  Zeros are absorbing under the update
+    and the positivity floor covers each row's own support only, so each row
+    runs its own estimator; only the rounding of the block's sums differs.
+    Every row starts from the uniform distribution on its support and keeps
+    its own stopping test, pre-normalization sum and likelihood history.  A
+    row leaves the block when it converges, and also when its update mass
+    is not positive and finite or its model off probability underflows; its
+    result is then that IllConditionedError.  With ``cfg.accelerate`` the
+    block must be a single record.
     """
-    A = _thinning_matrix(datasets[0].grid.etas, n_max)
+    A = _thinning_matrix(datasets[0].grid.etas, max(n_maxes))
     W = A / A.sum(axis=0, keepdims=True)
+    sizes = np.array(n_maxes)[:, None] + 1
+    floor = np.where(np.arange(A.shape[1]) < sizes, _DIV_FLOOR, 0.0)
     F = np.array([ds.frequencies for ds in datasets])
     counts = np.array([ds.off_counts for ds in datasets], dtype=float)
     on = np.array([float(ds.shots) for ds in datasets])[:, None] - counts
 
-    P = np.full((len(datasets), n_max + 1), 1.0 / (n_max + 1))
+    # uniform on each row's support: its off probabilities are at least
+    # 1 / (n_max + 1), so the start needs no underflow check
+    P = (floor > 0) / sizes
     P_off = _model_off(A, P)
     anderson = _Anderson(A, datasets[0], P[0]) if cfg.accelerate else None
     # log-likelihood of iterate t of record i in ll_hist[t, i]; doubled as needed
     ll_hist = np.empty((min(cfg.max_iter, 1023) + 1, len(datasets)))
-    ll_hist[0] = anderson.ll(P_off[0]) if anderson is not None else _rows_ll(counts, on, P_off)
     live = np.arange(len(datasets))  # input index of each block row
-    results: list[EMResult | None] = [None] * len(datasets)
+    results: list[EMResult | IllConditionedError | None] = [None] * len(datasets)
 
-    for it in range(1, cfg.max_iter + 1):
-        plain, bracket, prenorm = _update(P, P_off, F, W)
-        residual = np.abs(plain - P).max(axis=1)
-        plain = np.clip(plain, _DIV_FLOOR, None)
-        plain /= plain.sum(axis=1, keepdims=True)
-        plain_off = _model_off(A, plain)
-        if it == ll_hist.shape[0]:
-            ll_hist = np.concatenate([ll_hist, np.empty_like(ll_hist)])
-        if anderson is not None:
-            p, p_off, ll = anderson.step(bracket[0], plain[0], plain_off[0])
-            P, P_off = p[None], p_off[None]
-        else:
-            P, P_off = plain, plain_off
-            ll = _rows_ll(counts, on, P_off)
-        ll_hist[it, live] = ll
+    # a failed row computes non-finite values until the end of its pass
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ll_hist[0] = anderson.ll(P_off[0]) if anderson is not None else _rows_ll(counts, on, P_off)
+        for it in range(1, cfg.max_iter + 1):
+            plain, bracket, prenorm = _update(P, P_off, F, W)
+            residual = np.abs(plain - P).max(axis=1)
+            plain = np.maximum(plain, floor)
+            plain /= plain.sum(axis=1, keepdims=True)
+            plain_off = _model_off(A, plain)
+            # a row whose update mass is not positive and finite has a NaN
+            # residual, so a quiet pass has no failed row
+            quiet = residual.min() >= cfg.tol and plain_off.min() >= _DIV_FLOOR
+            failed = {} if quiet else _row_failures(prenorm, plain_off)
+            if it == ll_hist.shape[0]:
+                ll_hist = np.concatenate([ll_hist, np.empty_like(ll_hist)])
+            if anderson is not None and not failed:
+                p, p_off, ll = anderson.step(bracket[0], plain[0], plain_off[0])
+                P, P_off = p[None], p_off[None]
+            else:
+                P, P_off = plain, plain_off
+                ll = _rows_ll(counts, on, P_off)
+            ll_hist[it, live] = ll
 
-        if it < cfg.max_iter and residual.min() >= cfg.tol:
-            continue
-        done = residual < cfg.tol
-        keep = ~done if it < cfg.max_iter else np.zeros_like(done)
-        for j in np.flatnonzero(~keep):
-            i = live[j]
-            results[i] = _result(P[j], it, bool(done[j]), residual[j], prenorm[j],
-                                 ll_hist[: it + 1, i], cfg)
-        if not keep.any():
-            break
-        P, P_off, F, counts, on, live = (x[keep] for x in (P, P_off, F, counts, on, live))
+            if it < cfg.max_iter and quiet:
+                continue
+            done = residual < cfg.tol
+            keep = ~done if it < cfg.max_iter else np.zeros_like(done)
+            keep[list(failed)] = False
+            for j in np.flatnonzero(~keep):
+                i = live[j]
+                results[i] = failed[j] if j in failed else _result(
+                    P[j, : n_maxes[i] + 1], it, bool(done[j]), residual[j], prenorm[j],
+                    ll_hist[: it + 1, i], cfg)
+            if not keep.any():
+                break
+            P, P_off, F, counts, on, floor, live = (
+                x[keep] for x in (P, P_off, F, counts, on, floor, live))
     return results
 
 
-def reconstruct_pn_batch(datasets, config: EMConfig | None = None) -> list[EMResult]:
+def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
+                         n_max=None) -> list[EMResult | IllConditionedError]:
     """:func:`reconstruct_pn` for every record, results in input order.
 
-    Plain records (``accelerate=False``) that share an efficiency grid and a
-    truncation are iterated together as one block, which costs about as much
-    as a single record; each keeps its own stopping test and diagnostics.
-    Accelerated records run one at a time.  A numerical failure of any
-    record raises for the whole call.
+    ``n_max`` gives each record its own truncation in place of
+    ``config.n_max`` (where that is None, each record's default).  Plain
+    records (``accelerate=False``) that share an efficiency grid are
+    iterated together as one block whatever their truncations, which costs
+    about as much as a single record; each keeps its own stopping test and
+    diagnostics.  Accelerated records run one at a time.  A record whose
+    iteration fails numerically gets its IllConditionedError in place of a
+    result; the other records are unaffected.
     """
     cfg = config or EMConfig()
     datasets = list(datasets)
+    if n_max is None:
+        n_max = [cfg.n_max or default_truncation(ds) for ds in datasets]
     blocks: dict = {}
     for i, ds in enumerate(datasets):
-        n_max = cfg.n_max if cfg.n_max is not None else default_truncation(ds)
-        key = i if cfg.accelerate else (n_max, ds.grid.etas.tobytes())
-        blocks.setdefault(key, (n_max, []))[1].append(i)
-    results: list[EMResult | None] = [None] * len(datasets)
-    for n_max, idx in blocks.values():
-        for i, res in zip(idx, _solve_block([datasets[i] for i in idx], n_max, cfg)):
+        blocks.setdefault(i if cfg.accelerate else ds.grid.etas.tobytes(), []).append(i)
+    results: list = [None] * len(datasets)
+    for idx in blocks.values():
+        solved = _solve_block([datasets[i] for i in idx], [n_max[i] for i in idx], cfg)
+        for i, res in zip(idx, solved):
             results[i] = res
     return results
 
@@ -354,6 +396,10 @@ def reconstruct_pn(data: OnOffDataset, config: EMConfig | None = None) -> EMResu
     ``config.max_iter`` passes; non-convergence is flagged in the result,
     never silent.  The binomial log-likelihood of every published iterate is
     recorded; it is expected (not guaranteed) to be non-decreasing, and
-    decreases are counted and logged.
+    decreases are counted and logged.  A numerical failure raises
+    IllConditionedError.
     """
-    return reconstruct_pn_batch([data], config)[0]
+    result = reconstruct_pn_batch([data], config)[0]
+    if isinstance(result, IllConditionedError):
+        raise result
+    return result

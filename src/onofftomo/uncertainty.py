@@ -12,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 import logging
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,15 +59,36 @@ def dm_tag(n: int, m: int) -> str:
     return f"dm[{n},{m}]"
 
 
-def wigner_pipeline(em_config: EMConfig | None = None):
+@dataclass(frozen=True)
+class EMPipeline:
+    """EM on every record, then ``readout(datasets, distributions)`` -> {tag: value}.
+
+    :func:`bootstrap` solves the EM of all replicas in one call and applies
+    :meth:`read` to each replica.
+    """
+
+    em_config: EMConfig | None
+    readout: Callable[[list, list], dict]
+
+    def read(self, datasets, results) -> dict:
+        """The read-out of solved records; a failed record raises its error."""
+        for res in results:
+            if isinstance(res, ReconstructionError):
+                raise res
+        return self.readout(datasets, [res.distribution for res in results])
+
+    def __call__(self, datasets) -> dict:
+        return self.read(datasets, reconstruct_pn_batch(datasets, self.em_config))
+
+
+def wigner_pipeline(em_config: EMConfig | None = None) -> EMPipeline:
     """EM -> parity value at each dataset's own modulation point."""
 
-    def run(datasets):
-        results = reconstruct_pn_batch(datasets, em_config)
-        wmap = wigner_map_from_data((ds.alpha, r.distribution) for ds, r in zip(datasets, results))
+    def readout(datasets, dists):
+        wmap = wigner_map_from_data((ds.alpha, d) for ds, d in zip(datasets, dists))
         return {wigner_tag(ds.amp, ds.phase): pt.value for ds, pt in zip(datasets, wmap.points)}
 
-    return run
+    return EMPipeline(em_config, readout)
 
 
 def dm_pipeline(
@@ -75,7 +98,7 @@ def dm_pipeline(
     em_config: EMConfig,
     *,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-):
+) -> EMPipeline:
     """EM per phase -> phase Fourier + kernel inversion -> element table.
 
     The datasets must be the phase records of a single amplitude, ordered by
@@ -88,14 +111,13 @@ def dm_pipeline(
     if em_config.n_max is None:
         raise ValueError("dm_pipeline needs a fixed em_config.n_max")
 
-    def run(datasets):
-        dists = [res.distribution for res in reconstruct_pn_batch(datasets, em_config)]
+    def readout(_datasets, dists):
         result = reconstruct_density_matrix(
             dists, amp, s_max=s_max, m_max=m_max, svd_cutoff=svd_cutoff
         )
         return {dm_tag(n, m): v for (n, m), v in result.items() if n >= m}
 
-    return run
+    return EMPipeline(em_config, readout)
 
 
 def _resample(ds: OnOffDataset, seed: int, replica: int, record: int) -> OnOffDataset:
@@ -118,20 +140,30 @@ def bootstrap(
         n_replicas: B >= 2 bootstrap replications.
         seed: base seed; fixed seed => identical reports.
 
-    Replica-level reconstruction failures are counted; more than a fifth of
-    them aborts with BootstrapError.
+    An :class:`EMPipeline` has the records of all replicas solved in one EM
+    call, then reads out each replica; any other pipeline runs once per
+    replica.  A replica fails when one of its records or its read-out
+    fails; more than a fifth of failed replicas aborts with BootstrapError.
     """
     datasets = list(datasets)
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas")
     if not datasets:
         raise ValueError("need at least one dataset")
+    replicas = [[_resample(ds, seed, b, r) for r, ds in enumerate(datasets)]
+                for b in range(n_replicas)]
+    if isinstance(pipeline, EMPipeline):
+        solved = reconstruct_pn_batch([ds for rep in replicas for ds in rep], pipeline.em_config)
+        size = len(datasets)
+        runs = [partial(pipeline.read, rep, solved[b * size:(b + 1) * size])
+                for b, rep in enumerate(replicas)]
+    else:
+        runs = [partial(pipeline, rep) for rep in replicas]
     samples: dict[str, list[complex]] = defaultdict(list)
     failures = 0
-    for b in range(n_replicas):
-        replica = [_resample(ds, seed, b, r) for r, ds in enumerate(datasets)]
+    for b, run in enumerate(runs):
         try:
-            values = pipeline(replica)
+            values = run()
         except ReconstructionError as exc:
             failures += 1
             logger.warning("bootstrap replica %d failed: %s", b, exc)

@@ -115,6 +115,25 @@ class TestReconstruct:
         sub = [r for r in rows if r[idx["n"]] == "1" and r[idx["m"]] == "0"][0]
         assert float(sub[idx["real"]]) == pytest.approx(math.exp(-3.24) * 1.8, abs=1e-6)
 
+    def test_exact_mode_grows_truncation_to_m_max(self, tmp_path):
+        # the automatic truncation (n_max 30) is below m_max + s_max = 41
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "coherent", "z": 1.8},
+            modulation={"amps": [0.5], "n_phases": 4},
+            targets=["pn", "dm"],
+            dm={"s_max": 1, "m_max": 40},
+        )
+        assert main(["reconstruct", "--config", str(cfg), "--exact"]) == 0
+        _, pn_rows = read_csv(str(tmp_path / "out" / "pn.csv"))
+        assert len(pn_rows) == 4 * 42
+        header, rows = read_csv(str(tmp_path / "out" / "dm.csv"))
+        idx = {h: i for i, h in enumerate(header)}
+        for s in (0, 1):
+            ms = [int(r[idx["m"]]) for r in rows if r[idx["s"]] == str(s)]
+            assert ms == list(range(41))
+
     def test_exact_plus_bootstrap_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
@@ -138,6 +157,34 @@ class TestReconstruct:
         assert main(["reconstruct", "--config", str(cfg), "--data", data]) == 0
         for f in files:
             assert (tmp_path / "out" / f).read_bytes() == snap[f]
+
+    def test_one_em_call_for_every_amplitude(self, tmp_path, monkeypatch):
+        from onofftomo import cli
+
+        calls = []
+
+        def counting(datasets, *args, **kwargs):
+            calls.append(len(datasets))
+            return solve(datasets, *args, **kwargs)
+
+        solve = cli.reconstruct_pn_batch
+        monkeypatch.setattr(cli, "reconstruct_pn_batch", counting)
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "thermal", "n_th": 1.4},
+            modulation={"amps": [0.0, 1.5], "n_phases": 2},
+            shots=3000,
+            targets=["pn", "wigner"],
+            em={"tol": 1e-8, "max_iter": 300, "accelerate": False},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data]) == 0
+        assert calls == [4]
+        em = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["em"]
+        n_max = {amp: {e["n_max"] for e in em if e["amp"] == amp} for amp in (0.0, 1.5)}
+        assert len(n_max[0.0]) == len(n_max[1.5]) == 1 and n_max[0.0] != n_max[1.5]
 
     def test_partial_failure_manifest(self, tmp_path):
         # a hopeless svd cutoff trips rank deficiency -> manifest + exit 3

@@ -1,5 +1,6 @@
 """Maximum-likelihood recovery of photon distributions from off frequencies."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -300,6 +301,51 @@ class TestBatch:
 
     def test_empty_batch(self):
         assert reconstruct_pn_batch([], EMConfig(n_max=4, accelerate=False)) == []
+
+    def test_rows_of_every_truncation_share_one_block(self, high_grid):
+        # n_max 17..35 in one call: zero-padded rows run their own estimator
+        records = self._mixed_records(high_grid)
+        n_maxes = [17 + round(18 * i / (len(records) - 1)) for i in range(len(records))]
+        assert (min(n_maxes), max(n_maxes)) == (17, 35)
+        cfg = EMConfig(tol=1e-5, max_iter=1500, accelerate=False)
+        batch = reconstruct_pn_batch(records, cfg, n_max=n_maxes)
+        for ds, n_max, got in zip(records, n_maxes, batch):
+            one = reconstruct_pn(ds, dataclasses.replace(cfg, n_max=n_max))
+            assert got.distribution.probs.size == one.distribution.probs.size == n_max + 1
+            assert np.abs(got.distribution.probs - one.distribution.probs).max() <= 1e-12
+            assert got.iterations == one.iterations
+            assert got.converged == one.converged
+            assert got.ll_history.size == one.ll_history.size
+        assert {r.converged for r in batch} == {True, False}
+
+    @staticmethod
+    def _underflowing_record():
+        # test_division_guard's grid, with no off counts at eta = 1: p_0 is
+        # driven to the positivity floor until the off probability at eta = 1
+        # underflows (a record with off counts there converges instead)
+        grid = uniform_grid(1.0, 4)
+        return OnOffDataset(grid=grid, shots=10, off_counts=np.array([5, 3, 1, 0]),
+                            amp=0.0, phase=0.0)
+
+    def test_failed_row_leaves_the_block_alone(self):
+        bad = self._underflowing_record()
+        healthy = [dataclasses.replace(bad, off_counts=np.array(c)) for c in ([8, 6, 5, 4],
+                                                                             [9, 8, 7, 6])]
+        cfg = EMConfig(tol=1e-12, max_iter=3000, accelerate=False)
+        records, n_maxes = [healthy[0], bad, healthy[1]], [4, 10, 8]
+        batch = reconstruct_pn_batch(records, cfg, n_max=n_maxes)
+        assert isinstance(batch[1], IllConditionedError)
+        assert "underflowed" in str(batch[1])
+        for i in (0, 2):
+            one = reconstruct_pn(records[i], dataclasses.replace(cfg, n_max=n_maxes[i]))
+            assert np.abs(batch[i].distribution.probs - one.distribution.probs).max() <= 1e-12
+            assert (batch[i].iterations, batch[i].converged) == (one.iterations, one.converged)
+            assert batch[i].ll_history.size == one.ll_history.size
+
+    def test_reconstruct_pn_raises_on_failed_record(self):
+        cfg = EMConfig(n_max=10, tol=1e-12, max_iter=3000, accelerate=False)
+        with pytest.raises(IllConditionedError, match="underflowed"):
+            reconstruct_pn(self._underflowing_record(), cfg)
 
 
 # SHA-256 of dataset.json written by `simulate` for the README example config

@@ -10,6 +10,7 @@ from onofftomo import (
     BootstrapError,
     EMConfig,
     ErrorReport,
+    IllConditionedError,
     ModulationSpec,
     ReconstructionError,
     bootstrap,
@@ -117,6 +118,48 @@ class TestBootstrap:
         tags = {r.tag for r in reports}
         assert "dm[0,0]" in tags and "dm[1,0]" in tags
         assert all(r.stddev >= 0 for r in reports)
+
+
+class TestOneBlockBootstrap:
+    """An EM pipeline's replicas are solved in one EM call."""
+
+    @staticmethod
+    def _data(grid):
+        rho = make_coherent(1.0, 30)
+        return simulate_dataset(rho, ModulationSpec.uniform(0.4, 6), grid, 20000, seed=2)
+
+    @pytest.mark.parametrize("target", ["wigner", "dm"])
+    def test_matches_per_replica_reference(self, high_grid, target):
+        data = self._data(high_grid)
+        cfg = EMConfig(n_max=14, tol=1e-12, max_iter=500, accelerate=False)
+        pipe = wigner_pipeline(cfg) if target == "wigner" else dm_pipeline(0.4, 1, 5, cfg)
+        block = bootstrap(data, pipe, n_replicas=8, seed=4)
+        # a plain callable runs the same pipeline once per replica
+        reference = bootstrap(data, lambda datasets: pipe(datasets), n_replicas=8, seed=4)
+        assert [r.tag for r in block] == [r.tag for r in reference]
+        for got, want in zip(block, reference):
+            assert got.replicas == want.replicas == 8
+            assert got.stddev == pytest.approx(want.stddev, rel=1e-12, abs=1e-300)
+            assert abs(got.mean - want.mean) <= 1e-12 * max(1.0, abs(want.mean))
+
+    def test_one_failed_row_fails_one_replica(self, high_grid, monkeypatch):
+        from onofftomo import uncertainty
+
+        solve = uncertainty.reconstruct_pn_batch
+        calls = []
+
+        def one_row_fails(datasets, config=None):
+            calls.append(len(datasets))
+            results = solve(datasets, config)
+            results[9] = IllConditionedError("synthetic row failure")  # replica 1, record 3
+            return results
+
+        monkeypatch.setattr(uncertainty, "reconstruct_pn_batch", one_row_fails)
+        data = self._data(high_grid)
+        cfg = EMConfig(n_max=14, tol=1e-12, max_iter=200, accelerate=False)
+        reports = bootstrap(data, wigner_pipeline(cfg), n_replicas=5, seed=4)
+        assert calls == [5 * 6]
+        assert {r.replicas for r in reports} == {4}
 
 
 class TestErrorReport:
