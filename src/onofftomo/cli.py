@@ -58,7 +58,8 @@ from .inversion import (
     reconstruct_density_matrix,
     wigner_map_from_data,
 )
-from .uncertainty import bootstrap, dm_pipeline, dm_tag, wigner_pipeline, wigner_tag
+from .uncertainty import EMPipeline, bootstrap, dm_readout, dm_tag, wigner_readout, wigner_tag
+from .uncertainty import dm_pipeline, wigner_pipeline  # noqa: F401  (perfbench/tracer.py patches them here)
 
 OUTPUT_DIR_ENV = "ONOFFTOMO_OUT"
 
@@ -72,9 +73,25 @@ _STATE_PARAMS = {
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown field(s) in {where}: {sorted(unknown)}")
+
+
+def _number(kind, value, where: str, low=None, optional: bool = False):
+    """``kind(value)`` (kind int or float), at least ``low`` if given; None
+    passes where optional.  Anything else raises ConfigError naming the field."""
+    if optional and value is None:
+        return None
+    try:
+        number = kind(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from err
+    if low is not None and number < low:
+        raise ConfigError(f"{where} must be >= {low}")
+    return number
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,37 +122,37 @@ class RunConfig:
         if not isinstance(state, dict) or "kind" not in state:
             raise ConfigError("config needs a state section with a 'kind'")
         kind = state["kind"]
-        if kind not in _STATE_PARAMS:
+        if not isinstance(kind, str) or kind not in _STATE_PARAMS:
             raise ConfigError(f"unknown state kind {kind!r}")
         _check_keys(state, {"kind", "n_max"} | _STATE_PARAMS[kind], f"state ({kind})")
         missing = _STATE_PARAMS[kind] - set(state)
         if missing:
             raise ConfigError(f"state {kind!r} missing parameter(s): {sorted(missing)}")
+        for name in _STATE_PARAMS[kind]:
+            _number(float, state[name], f"state.{name}")
+        _number(int, state.get("n_max"), "state.n_max", optional=True)
 
         mod = doc.get("modulation", {})
         _check_keys(mod, {"amps", "n_phases"}, "modulation")
-        amps = tuple(float(a) for a in mod.get("amps", [0.0]))
+        amps = mod.get("amps", [0.0])
+        if not isinstance(amps, list):
+            raise ConfigError(f"modulation.amps must be a list, got {amps!r}")
+        amps = tuple(_number(float, a, "modulation.amps") for a in amps)
         if not amps or any(a < 0 or not math.isfinite(a) for a in amps):
             raise ConfigError("modulation.amps must be finite and >= 0")
         if len(set(amps)) != len(amps):
             raise ConfigError("modulation.amps must be distinct")
-        n_phases = int(mod.get("n_phases", 1))
-        if n_phases < 1:
-            raise ConfigError("modulation.n_phases must be >= 1")
+        n_phases = _number(int, mod.get("n_phases", 1), "modulation.n_phases", low=1)
 
         grid = doc.get("grid", {})
         _check_keys(grid, {"k", "eta_max"}, "grid")
-        grid_k = int(grid.get("k", 25))
-        eta_max = float(grid.get("eta_max", 0.67))
-        if grid_k < 2:
-            raise ConfigError("grid.k must be >= 2")
+        grid_k = _number(int, grid.get("k", 25), "grid.k", low=2)
+        eta_max = _number(float, grid.get("eta_max", 0.67), "grid.eta_max")
         if not (0.0 < eta_max <= 1.0):
             raise ConfigError("grid.eta_max must lie in (0, 1]")
 
-        shots = int(doc.get("shots", 30000))
-        if shots < 1:
-            raise ConfigError("shots must be >= 1")
-        seed = int(doc.get("seed", 0))
+        shots = _number(int, doc.get("shots", 30000), "shots", low=1)
+        seed = _number(int, doc.get("seed", 0), "seed")
         if not (0 <= seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")
 
@@ -143,53 +160,38 @@ class RunConfig:
         _check_keys(em_doc, {"n_max", "tol", "max_iter", "accelerate"}, "em")
         try:
             em = EMConfig(
-                n_max=em_doc.get("n_max"),
-                tol=float(em_doc.get("tol", 1e-9)),
-                max_iter=int(em_doc.get("max_iter", 100000)),
+                n_max=_number(int, em_doc.get("n_max"), "n_max", optional=True),
+                tol=_number(float, em_doc.get("tol", 1e-9), "tol"),
+                max_iter=_number(int, em_doc.get("max_iter", 100000), "max_iter"),
                 accelerate=bool(em_doc.get("accelerate", True)),
             )
         except ValueError as err:
             raise ConfigError(f"em: {err}") from err
 
-        targets = tuple(doc.get("targets", ["pn"]))
-        bad = set(targets) - {"pn", "wigner", "dm"}
-        if bad or not targets:
+        targets = doc.get("targets", ["pn"])
+        if not (isinstance(targets, list) and targets
+                and all(t in ("pn", "wigner", "dm") for t in targets)):
             raise ConfigError(f"targets must be a non-empty subset of pn|wigner|dm, got {targets!r}")
 
         dm_doc = doc.get("dm", {})
         _check_keys(dm_doc, {"s_max", "m_max", "svd_cutoff", "residual_bound"}, "dm")
-        s_max = int(dm_doc.get("s_max", 2))
-        m_max = dm_doc.get("m_max")
-        m_max = None if m_max is None else int(m_max)
-        svd_cutoff = float(dm_doc.get("svd_cutoff", 1e-8))
-        residual_bound = float(dm_doc.get("residual_bound", 0.05))
-        if s_max < 0:
-            raise ConfigError("dm.s_max must be >= 0")
-        if m_max is not None and m_max < 0:
-            raise ConfigError("dm.m_max must be >= 0")
+        s_max = _number(int, dm_doc.get("s_max", 2), "dm.s_max", low=0)
+        m_max = _number(int, dm_doc.get("m_max"), "dm.m_max", low=0, optional=True)
+        svd_cutoff = _number(float, dm_doc.get("svd_cutoff", 1e-8), "dm.svd_cutoff")
+        residual_bound = _number(float, dm_doc.get("residual_bound", 0.05), "dm.residual_bound")
         if not (0 < svd_cutoff < 1):
             raise ConfigError("dm.svd_cutoff must lie in (0, 1)")
 
         out_doc = doc.get("output", {})
         _check_keys(out_doc, {"dir"}, "output")
         out_dir = out_doc.get("dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
 
-        return cls(
-            state=dict(state),
-            amps=amps,
-            n_phases=n_phases,
-            grid_k=grid_k,
-            eta_max=eta_max,
-            shots=shots,
-            seed=seed,
-            em=em,
-            targets=targets,
-            s_max=s_max,
-            m_max=m_max,
-            svd_cutoff=svd_cutoff,
-            residual_bound=residual_bound,
-            out_dir=out_dir,
-        )
+        return cls(state=dict(state), amps=amps, n_phases=n_phases, grid_k=grid_k,
+                   eta_max=eta_max, shots=shots, seed=seed, em=em, targets=tuple(targets),
+                   s_max=s_max, m_max=m_max, svd_cutoff=svd_cutoff,
+                   residual_bound=residual_bound, out_dir=out_dir)
 
 
 def load_config(path: str) -> RunConfig:
@@ -199,32 +201,21 @@ def load_config(path: str) -> RunConfig:
 
 def build_state(spec: dict) -> tuple[FockDensityMatrix, int]:
     """State factory from a config state section; returns (rho, truncation)."""
-    kind = spec["kind"]
-    if kind == "fock":
-        n = int(spec["n"])
-        trunc = int(spec.get("n_max", n))
+    kind, trunc = spec["kind"], spec.get("n_max")
+    if kind in ("fock", "vacuum"):
+        n = int(spec.get("n", 0))
+        trunc = n if trunc is None else int(trunc)
         return make_fock(n, trunc), trunc
-    if kind == "vacuum":
-        trunc = int(spec.get("n_max", 0))
-        return make_fock(0, trunc), trunc
-    if kind == "coherent":
-        mean = float(spec["z"]) ** 2
-        factory = lambda t: make_coherent(float(spec["z"]), t)  # noqa: E731
-    elif kind == "thermal":
-        mean = float(spec["n_th"])
-        factory = lambda t: make_thermal(float(spec["n_th"]), t)  # noqa: E731
-    elif kind == "phase_averaged_coherent":
-        mean = float(spec["z"]) ** 2
-        factory = lambda t: make_phase_averaged_coherent(float(spec["z"]), t)  # noqa: E731
-    else:  # pragma: no cover - guarded by RunConfig
-        raise ConfigError(f"unknown state kind {kind!r}")
-    if "n_max" in spec and spec["n_max"] is not None:
-        trunc = int(spec["n_max"])
-        return factory(trunc), trunc
+    factory = {"coherent": make_coherent, "thermal": make_thermal,
+               "phase_averaged_coherent": make_phase_averaged_coherent}[kind]
+    param = float(spec["n_th" if kind == "thermal" else "z"])
+    mean = param if kind == "thermal" else param**2
+    if trunc is not None:
+        return factory(param, int(trunc)), int(trunc)
     trunc = math.ceil(mean + 6.0 * math.sqrt(mean) + 10.0)
     while True:
         try:
-            return factory(trunc), trunc
+            return factory(param, trunc), trunc
         except TruncationError:
             if trunc > 2000:
                 raise
@@ -304,21 +295,6 @@ def cmd_reconstruct(args) -> int:
     def record_failure(amp, target, err):
         diagnostics["failures"].append({"amp": amp, "target": target, "error": str(err)})
 
-    def bootstrap_stderr(amp, target, datasets, make_pipeline) -> dict[str, float]:
-        """One target's bootstrap at one amplitude: {tag: stddev}, {} on failure."""
-        if not args.bootstrap:
-            return {}
-        boot = diagnostics["bootstrap"]
-        try:
-            reports = bootstrap(datasets, make_pipeline(), args.bootstrap, boot["seed"])
-        except ReconstructionError as err:
-            record_failure(amp, target, err)
-            return {}
-        succeeded = reports[0].replicas
-        boot["outcomes"].append({"amp": amp, "target": target, "succeeded": succeeded,
-                                 "failed": args.bootstrap - succeeded})
-        return {rep.tag: rep.stddev for rep in reports}
-
     # amp -> (phases, records, EM truncation); exact mode has no records and
     # learns its truncation per distribution
     if args.exact:
@@ -353,7 +329,6 @@ def cmd_reconstruct(args) -> int:
             dists = [d if d.n_max >= dm_rows else displaced_photon_distribution(rho, a, dm_rows)
                      for a, d in zip(alphas, dists)]
         else:
-            em_cfg = dataclasses.replace(cfg.em, n_max=n_bar)
             results = [next(solved) for _ in datasets]
             failed = [r for r in results if isinstance(r, ReconstructionError)]
             if failed:
@@ -371,34 +346,52 @@ def cmd_reconstruct(args) -> int:
             rows["pn"] += [(amp, phase, n, float(p))
                            for phase, dist in zip(phases, dists) for n, p in enumerate(dist.probs)]
 
-        # each target's point estimate and bootstrap fail on their own, so a
-        # rank-deficient dm kernel keeps the wigner rows and their stderr
+        # point estimates first: a failed one leaves its target out of the
+        # bootstrap, so a rank-deficient dm kernel keeps the wigner rows
+        readouts = {}
         if "wigner" in cfg.targets:
             wmap = wigner_map_from_data(
                 (amp * cmath.exp(1j * phase), dist) for phase, dist in zip(phases, dists))
-            stderr = bootstrap_stderr(amp, "wigner", datasets, lambda: wigner_pipeline(em_cfg))
+            readouts["wigner"] = wigner_readout
+        if "dm" in cfg.targets:
+            try:
+                res = reconstruct_density_matrix(
+                    dists, amp, s_max=cfg.s_max, m_max=cfg.m_max,
+                    svd_cutoff=cfg.svd_cutoff, residual_bound=cfg.residual_bound)
+            except ReconstructionError as err:
+                record_failure(amp, "dm", err)
+            else:
+                diagnostics["dm"][repr(amp)] = [{"s": f.s, "condition": f.condition,
+                                                 "residual": f.residual, "reliable": f.reliable}
+                                                for f in res.fits]
+                readouts["dm"] = dm_readout(amp, cfg.s_max, cfg.m_max, cfg.svd_cutoff)
+
+        # one bootstrap for every standing target; a dm read-out fails only
+        # where the point estimate's did, so all targets share its failed replicas
+        stderr = {}
+        if args.bootstrap and readouts:
+            pipeline = EMPipeline(dataclasses.replace(cfg.em, n_max=n_bar),
+                                  tuple(readouts.values()))
+            try:
+                reports = bootstrap(datasets, pipeline, args.bootstrap, seed)
+            except ReconstructionError as err:
+                for target in readouts:
+                    record_failure(amp, target, err)
+            else:
+                succeeded = reports[0].replicas
+                diagnostics["bootstrap"]["outcomes"] += [
+                    {"amp": amp, "target": target, "succeeded": succeeded,
+                     "failed": args.bootstrap - succeeded} for target in readouts]
+                stderr = {rep.tag: rep.stddev for rep in reports}
+
+        if "wigner" in readouts:
             for phase, pt in zip(phases, wmap.points):
                 row = [amp, phase, pt.alpha.real, pt.alpha.imag, pt.value,
                        stderr.get(wigner_tag(amp, phase)), pt.flagged]
                 if args.conventional_wigner:
                     row.append(conventional_wigner_value(pt.value))
                 rows["wigner"].append(row)
-
-        if "dm" in cfg.targets:
-            try:
-                res = reconstruct_density_matrix(
-                    dists, amp, s_max=cfg.s_max, m_max=cfg.m_max,
-                    svd_cutoff=cfg.svd_cutoff, residual_bound=cfg.residual_bound,
-                )
-            except ReconstructionError as err:
-                record_failure(amp, "dm", err)
-                continue
-            diagnostics["dm"][repr(amp)] = [
-                {"s": f.s, "condition": f.condition, "residual": f.residual, "reliable": f.reliable}
-                for f in res.fits
-            ]
-            stderr = bootstrap_stderr(amp, "dm", datasets, lambda: dm_pipeline(
-                amp, cfg.s_max, cfg.m_max, em_cfg, svd_cutoff=cfg.svd_cutoff))
+        if "dm" in readouts:
             rows["dm"] += [
                 (amp, f.s, m + f.s, m, v.real, v.imag, stderr.get(dm_tag(m + f.s, m)),
                  f.condition, f.residual, f.reliable)

@@ -116,7 +116,8 @@ class DatasetBundle:
                 key = (ai, pi)
                 if key in counts:
                     raise ValueError(f"duplicate record for amp {ai + 1}, phase {pi + 1}")
-                counts[key] = np.array(rec["off_counts"], dtype=np.int64)
+                # cast by OnOffDataset, whose check rejects non-integer counts
+                counts[key] = np.array(rec["off_counts"])
             return cls(
                 seed=int(meta["seed"]),
                 shots=int(meta["shots"]),
@@ -129,6 +130,8 @@ class DatasetBundle:
             )
         except KeyError as err:
             raise ValueError(f"dataset document missing field {err}") from err
+        except (AttributeError, TypeError) as err:
+            raise ValueError(f"malformed dataset document: {err}") from err
 
 
 def dumps_canonical(doc) -> str:

@@ -316,7 +316,8 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
     P = (floor > 0) / sizes
     P_off = _model_off(A, P)
     anderson = _Anderson(A, datasets[0], P[0]) if cfg.accelerate else None
-    # log-likelihood of iterate t of record i in ll_hist[t, i]; doubled as needed
+    # log-likelihood of iterate t of record i in ll_hist[t, i]; doubled as
+    # needed, up to the max_iter + 1 iterates a row can have
     ll_hist = np.empty((min(cfg.max_iter, 1023) + 1, len(datasets)))
     live = np.arange(len(datasets))  # input index of each block row
     results: list[EMResult | IllConditionedError | None] = [None] * len(datasets)
@@ -335,7 +336,8 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
             quiet = residual.min() >= cfg.tol and plain_off.min() >= _DIV_FLOOR
             failed = {} if quiet else _row_failures(prenorm, plain_off)
             if it == ll_hist.shape[0]:
-                ll_hist = np.concatenate([ll_hist, np.empty_like(ll_hist)])
+                ll_hist = np.concatenate(
+                    [ll_hist, np.empty((min(it, cfg.max_iter + 1 - it), len(datasets)))])
             if anderson is not None and not failed:
                 p, p_off, ll = anderson.step(bracket[0], plain[0], plain_off[0])
                 P, P_off = p[None], p_off[None]

@@ -5,6 +5,12 @@ that generated the data — and push the resampled datasets through the chosen
 reconstruction pipeline.  Per-replica substreams are keyed on
 (seed, replica, record), so a parallel run would reproduce the sequential
 results exactly.
+
+Both targets are read-outs of the same displaced photon-number
+distributions: :func:`wigner_readout` takes their parities and
+:func:`dm_readout` inverts their phase harmonics.  An :class:`EMPipeline`
+holds an EM configuration and any number of read-outs, so one bootstrap
+solves each replica's EM once and reads it out for every target.
 """
 
 from __future__ import annotations
@@ -59,23 +65,55 @@ def dm_tag(n: int, m: int) -> str:
     return f"dm[{n},{m}]"
 
 
+def wigner_readout(datasets, dists) -> dict:
+    """Parity value at each dataset's own modulation point."""
+    wmap = wigner_map_from_data((ds.alpha, d) for ds, d in zip(datasets, dists))
+    return {wigner_tag(ds.amp, ds.phase): pt.value for ds, pt in zip(datasets, wmap.points)}
+
+
+def dm_readout(
+    amp: float, s_max: int, m_max: int | None, svd_cutoff: float = DEFAULT_SVD_CUTOFF
+) -> Callable[[list, list], dict]:
+    """Phase Fourier + kernel inversion -> lower-triangle element table.
+
+    The distributions must be the phase records of a single amplitude,
+    ordered by phase, on one shared truncation.  ``m_max`` (None fits the
+    widest range the kernel rank supports) and ``svd_cutoff`` go to
+    :func:`reconstruct_density_matrix` as given, so with the point
+    estimate's values every replica runs the point estimate's estimator.
+    The kernel depends on the inputs here and the truncation alone, so a
+    replica's read-out fails only where the point estimate's did.
+    """
+
+    def readout(_datasets, dists):
+        result = reconstruct_density_matrix(
+            dists, amp, s_max=s_max, m_max=m_max, svd_cutoff=svd_cutoff
+        )
+        return {dm_tag(n, m): v for (n, m), v in result.items() if n >= m}
+
+    return readout
+
+
 @dataclass(frozen=True)
 class EMPipeline:
-    """EM on every record, then ``readout(datasets, distributions)`` -> {tag: value}.
+    """EM on every record, then each ``readout(datasets, distributions)`` -> {tag: value}.
 
     :func:`bootstrap` solves the EM of all replicas in one call and applies
-    :meth:`read` to each replica.
+    :meth:`read` to each replica, so every read-out shares one EM solve.
     """
 
     em_config: EMConfig | None
-    readout: Callable[[list, list], dict]
+    readouts: tuple[Callable[[list, list], dict], ...]
 
     def read(self, datasets, results) -> dict:
-        """The read-out of solved records; a failed record raises its error."""
+        """The union of the read-outs of solved records; a failed record
+        raises its error."""
         for res in results:
             if isinstance(res, ReconstructionError):
                 raise res
-        return self.readout(datasets, [res.distribution for res in results])
+        dists = [res.distribution for res in results]
+        return {tag: value for readout in self.readouts
+                for tag, value in readout(datasets, dists).items()}
 
     def __call__(self, datasets) -> dict:
         return self.read(datasets, reconstruct_pn_batch(datasets, self.em_config))
@@ -83,12 +121,7 @@ class EMPipeline:
 
 def wigner_pipeline(em_config: EMConfig | None = None) -> EMPipeline:
     """EM -> parity value at each dataset's own modulation point."""
-
-    def readout(datasets, dists):
-        wmap = wigner_map_from_data((ds.alpha, d) for ds, d in zip(datasets, dists))
-        return {wigner_tag(ds.amp, ds.phase): pt.value for ds, pt in zip(datasets, wmap.points)}
-
-    return EMPipeline(em_config, readout)
+    return EMPipeline(em_config, (wigner_readout,))
 
 
 def dm_pipeline(
@@ -99,25 +132,13 @@ def dm_pipeline(
     *,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> EMPipeline:
-    """EM per phase -> phase Fourier + kernel inversion -> element table.
+    """EM per phase -> :func:`dm_readout`.
 
-    The datasets must be the phase records of a single amplitude, ordered by
-    phase; the EM truncation must be pinned in ``em_config`` so every phase
-    shares it.  ``m_max`` (None fits the widest range the kernel rank
-    supports) and ``svd_cutoff`` go to :func:`reconstruct_density_matrix`
-    as given, so with the point estimate's values every replica runs the
-    point estimate's estimator.
+    The EM truncation must be pinned in ``em_config`` so every phase shares it.
     """
     if em_config.n_max is None:
         raise ValueError("dm_pipeline needs a fixed em_config.n_max")
-
-    def readout(_datasets, dists):
-        result = reconstruct_density_matrix(
-            dists, amp, s_max=s_max, m_max=m_max, svd_cutoff=svd_cutoff
-        )
-        return {dm_tag(n, m): v for (n, m), v in result.items() if n >= m}
-
-    return EMPipeline(em_config, readout)
+    return EMPipeline(em_config, (dm_readout(amp, s_max, m_max, svd_cutoff),))
 
 
 def _resample(ds: OnOffDataset, seed: int, replica: int, record: int) -> OnOffDataset:
@@ -142,8 +163,9 @@ def bootstrap(
 
     An :class:`EMPipeline` has the records of all replicas solved in one EM
     call, then reads out each replica; any other pipeline runs once per
-    replica.  A replica fails when one of its records or its read-out
-    fails; more than a fifth of failed replicas aborts with BootstrapError.
+    replica.  A replica fails when one of its records or read-outs fails,
+    and then for every read-out; more than a fifth of failed replicas aborts
+    with BootstrapError.
     """
     datasets = list(datasets)
     if n_replicas < 2:

@@ -335,6 +335,41 @@ class TestReconstruct:
         assert [(o["amp"], o["target"]) for o in diag["bootstrap"]["outcomes"]] == [
             (0.3, "dm"), (0.6, "dm")]
 
+    def test_wigner_and_dm_share_one_bootstrap(self, tmp_path, monkeypatch):
+        # both targets read out the same replicas, so each amplitude solves
+        # its replicas' EM once and both count the same replicas
+        from onofftomo import uncertainty
+
+        calls = []
+
+        def counting(datasets, *args, **kwargs):
+            calls.append(len(datasets))
+            return solve(datasets, *args, **kwargs)
+
+        solve = uncertainty.reconstruct_pn_batch
+        monkeypatch.setattr(uncertainty, "reconstruct_pn_batch", counting)
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "coherent", "z": 1.0},
+            modulation={"amps": [0.3, 0.6], "n_phases": 4},
+            shots=30000,
+            targets=["pn", "wigner", "dm"],
+            dm={"s_max": 1, "m_max": 4},
+            em={"tol": 1e-12, "max_iter": 500, "accelerate": False},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "4"]) == 0
+        assert calls == [4 * 4, 4 * 4]
+        for name, count in (("wigner.csv", 8), ("dm.csv", 20)):
+            header, rows = read_csv(str(tmp_path / "out" / name))
+            assert len(rows) == count and all(r[header.index("stderr")] for r in rows)
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["bootstrap"]["outcomes"] == [
+            {"amp": amp, "target": target, "succeeded": 4, "failed": 0}
+            for amp in (0.3, 0.6) for target in ("wigner", "dm")]
+
 
 class TestReport:
     def _prepare(self, tmp_path):
@@ -483,6 +518,41 @@ class TestExitCodes:
         assert os.listdir(rec) == []
         err = capsys.readouterr().err
         assert f"amp {amp}" in err and reason in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides", [
+        {"modulation": {"amps": [0.0], "n_phases": [3]}},
+        {"shots": None},
+        {"em": {"n_max": "abc"}},
+    ], ids=["n_phases_list", "shots_null", "em_n_max_string"])
+    def test_malformed_config(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(records=[5]),
+        lambda doc: doc.update(meta=None),
+        lambda doc: doc["modulation"].update(phases=None),
+        lambda doc: doc["records"][0]["off_counts"].__setitem__(0, 1.5),
+    ], ids=["records_int", "meta_null", "phases_null", "off_count_fraction"])
+    def test_malformed_dataset(self, tmp_path, capsys, edit):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = tmp_path / "out" / "dataset.json"
+        doc = json.loads(data.read_text())
+        edit(doc)
+        data.write_text(json.dumps(doc))
+        rec = tmp_path / "rec"
+        capsys.readouterr()
+        args = ["reconstruct", "--config", str(cfg), "--data", str(data), "--out", str(rec)]
+        assert main(args) == 2
+        assert os.listdir(rec) == []
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
 
     def test_selftest_passes(self):
         assert main(["selftest"]) == 0

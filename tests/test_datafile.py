@@ -108,6 +108,24 @@ class TestSchema:
         with pytest.raises(ValueError):
             DatasetBundle.from_document(doc)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(records=[5]),
+        lambda doc: doc.update(meta=None),
+        lambda doc: doc["modulation"].update(phases=None),
+    ], ids=["records_int", "meta_null", "phases_null"])
+    def test_malformed_document_rejected(self, edit):
+        doc = make_bundle().to_document()
+        edit(doc)
+        with pytest.raises(ValueError):
+            DatasetBundle.from_document(doc)
+
+    def test_non_integer_counts_rejected(self):
+        # a fractional count must not be truncated to an integer
+        doc = make_bundle().to_document()
+        doc["records"][0]["off_counts"][0] = 1.5
+        with pytest.raises(ValueError, match="integers"):
+            DatasetBundle.from_document(doc).datasets()
+
 
 class TestUniformPhases:
     def test_accepts_uniform(self):

@@ -24,6 +24,7 @@ from onofftomo import (
     simulate_dataset,
     wigner_pipeline,
 )
+from onofftomo.uncertainty import EMPipeline, dm_readout, wigner_readout
 
 
 def mean_frequency_pipeline(datasets):
@@ -141,6 +142,15 @@ class TestOneBlockBootstrap:
             assert got.replicas == want.replicas == 8
             assert got.stddev == pytest.approx(want.stddev, rel=1e-12, abs=1e-300)
             assert abs(got.mean - want.mean) <= 1e-12 * max(1.0, abs(want.mean))
+
+    def test_both_readouts_match_single_target_bootstraps(self, high_grid):
+        # one EM solve per replica serves both read-outs with unchanged reports
+        data = self._data(high_grid)
+        cfg = EMConfig(n_max=14, tol=1e-12, max_iter=500, accelerate=False)
+        wigner = bootstrap(data, wigner_pipeline(cfg), n_replicas=8, seed=4)
+        dm = bootstrap(data, dm_pipeline(0.4, 1, 5, cfg), n_replicas=8, seed=4)
+        both = EMPipeline(cfg, (wigner_readout, dm_readout(0.4, 1, 5)))
+        assert bootstrap(data, both, n_replicas=8, seed=4) == wigner + dm
 
     def test_one_failed_row_fails_one_replica(self, high_grid, monkeypatch):
         from onofftomo import uncertainty
