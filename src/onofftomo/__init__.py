@@ -14,7 +14,6 @@ from .detector import (
     EfficiencyGrid,
     ModulationSpec,
     OnOffDataset,
-    default_grids,
     off_probabilities,
     off_probability,
     simulate_dataset,
@@ -93,7 +92,6 @@ __all__ = [
     "bootstrap",
     "build_kernel",
     "conventional_wigner_value",
-    "default_grids",
     "default_truncation",
     "delta_map",
     "displaced_photon_distribution",

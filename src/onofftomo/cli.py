@@ -31,6 +31,7 @@ import numpy as np
 from . import selftest
 from .datafile import (
     DatasetBundle,
+    as_int,
     dumps_canonical,
     read_csv,
     read_dataset_file,
@@ -82,13 +83,15 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 def _number(kind, value, where: str, low=None, optional: bool = False):
     """``kind(value)`` (kind int or float), at least ``low`` if given; None
-    passes where optional.  Anything else raises ConfigError naming the field."""
+    passes where optional.  Anything else, a fractional number for an int
+    included, raises ConfigError naming the field."""
     if optional and value is None:
         return None
     try:
-        number = kind(value)
+        number = as_int(value, where) if kind is int else kind(value)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from err
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {expected}, got {value!r}") from err
     if low is not None and number < low:
         raise ConfigError(f"{where} must be >= {low}")
     return number
@@ -129,7 +132,7 @@ class RunConfig:
         if missing:
             raise ConfigError(f"state {kind!r} missing parameter(s): {sorted(missing)}")
         for name in _STATE_PARAMS[kind]:
-            _number(float, state[name], f"state.{name}")
+            _number(int if name == "n" else float, state[name], f"state.{name}")
         _number(int, state.get("n_max"), "state.n_max", optional=True)
 
         mod = doc.get("modulation", {})
@@ -158,12 +161,15 @@ class RunConfig:
 
         em_doc = doc.get("em", {})
         _check_keys(em_doc, {"n_max", "tol", "max_iter", "accelerate"}, "em")
+        accelerate = em_doc.get("accelerate", True)
+        if not isinstance(accelerate, bool):
+            raise ConfigError(f"em.accelerate must be true or false, got {accelerate!r}")
         try:
             em = EMConfig(
                 n_max=_number(int, em_doc.get("n_max"), "n_max", optional=True),
                 tol=_number(float, em_doc.get("tol", 1e-9), "tol"),
                 max_iter=_number(int, em_doc.get("max_iter", 100000), "max_iter"),
-                accelerate=bool(em_doc.get("accelerate", True)),
+                accelerate=accelerate,
             )
         except ValueError as err:
             raise ConfigError(f"em: {err}") from err

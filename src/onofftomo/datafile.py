@@ -31,6 +31,13 @@ from .detector import EfficiencyGrid, OnOffDataset
 _TWO_PI = 2.0 * math.pi
 
 
+def as_int(value, where: str) -> int:
+    """``int(value)``; a number the cast would truncate raises ValueError naming ``where``."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def write_text_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -109,8 +116,8 @@ class DatasetBundle:
             grid = EfficiencyGrid(np.array([float(e) for e in doc["grid"]["etas"]]))
             counts = {}
             for rec in doc["records"]:
-                ai = int(rec.get("amp_index", 1)) - 1
-                pi = int(rec["phase_index"]) - 1
+                ai = as_int(rec.get("amp_index", 1), "amp_index") - 1
+                pi = as_int(rec["phase_index"], "phase_index") - 1
                 if not (0 <= ai < len(amps) and 0 <= pi < len(phases)):
                     raise ValueError(f"record index out of range: {rec}")
                 key = (ai, pi)
@@ -119,10 +126,11 @@ class DatasetBundle:
                 # cast by OnOffDataset, whose check rejects non-integer counts
                 counts[key] = np.array(rec["off_counts"])
             return cls(
-                seed=int(meta["seed"]),
-                shots=int(meta["shots"]),
+                seed=as_int(meta["seed"], "meta.seed"),
+                shots=as_int(meta["shots"], "meta.shots"),
                 state=dict(meta["state"]),
-                truncation=None if meta.get("truncation") is None else int(meta["truncation"]),
+                truncation=None if meta.get("truncation") is None
+                else as_int(meta["truncation"], "meta.truncation"),
                 amps=amps,
                 phases=phases,
                 grid=grid,

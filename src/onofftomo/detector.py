@@ -29,14 +29,12 @@ from .fock import (
     FockDensityMatrix,
     PhotonDistribution,
     _freeze,
-    displaced_photon_distribution,
     displaced_photon_distribution_auto,
 )
+from .fock import displaced_photon_distribution  # noqa: F401  (perfbench/tracer.py patches it here)
 
 DEFAULT_SHOTS = 30_000
 DEFAULT_GRID_SIZE = 25
-LOW_EFFICIENCY_MAX = 0.29
-HIGH_EFFICIENCY_MAX = 0.67
 
 _TWO_PI = 2.0 * math.pi
 
@@ -146,10 +144,15 @@ def off_probability(dist: PhotonDistribution, eta: float) -> float:
     return float(np.power(1.0 - eta, n) @ dist.probs)
 
 
+def _thinning_matrix(etas: np.ndarray, n_max: int) -> np.ndarray:
+    """A_kn = (1 - eta_k)^n, shape (K, n_max + 1): P_off = A @ p."""
+    n = np.arange(n_max + 1)
+    return np.power.outer(1.0 - etas, n)
+
+
 def off_probabilities(dist: PhotonDistribution, grid: EfficiencyGrid) -> np.ndarray:
     """Vectorized off probability over a whole efficiency grid."""
-    n = np.arange(dist.probs.size)
-    return np.power.outer(1.0 - grid.etas, n) @ dist.probs
+    return _thinning_matrix(grid.etas, dist.n_max) @ dist.probs
 
 
 def uniform_grid(eta_max: float, k: int = DEFAULT_GRID_SIZE) -> EfficiencyGrid:
@@ -163,11 +166,6 @@ def uniform_grid(eta_max: float, k: int = DEFAULT_GRID_SIZE) -> EfficiencyGrid:
     if k < 2:
         raise ValueError("k must be >= 2")
     return EfficiencyGrid(eta_max * np.arange(1, k + 1) / k)
-
-
-def default_grids(k: int = DEFAULT_GRID_SIZE) -> tuple[EfficiencyGrid, EfficiencyGrid]:
-    """The two stock grids: eta_max = 0.29 and eta_max = 0.67."""
-    return uniform_grid(LOW_EFFICIENCY_MAX, k), uniform_grid(HIGH_EFFICIENCY_MAX, k)
 
 
 def _cell_uniform(seed: int, phase_index: int, eta_index: int) -> float:
@@ -220,20 +218,15 @@ def simulate_dataset(
     grid: EfficiencyGrid,
     shots: int = DEFAULT_SHOTS,
     seed: int = 0,
-    *,
-    n_max: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> list[OnOffDataset]:
     """Simulate off-click counts for every (phase, efficiency) cell.
 
     For each modulation phase phi_l the displaced distribution
-    p_n(|alpha| e^(i phi_l)) is computed, and each efficiency cell draws its
-    count from Binomial(shots, P_off(eta_k)) on its own (seed, l, k) substream.
-    Fixed seed => byte-identical datasets, independent of evaluation order.
-
-    Args:
-        n_max: truncation for the displaced distributions; default sizes it
-            from the state energy and |alpha| so the tail fits tail_tol.
+    p_n(|alpha| e^(i phi_l)) is computed, its truncation grown from the state
+    energy and |alpha| until the tail fits ``DEFAULT_TAIL_TOL``, and each
+    efficiency cell draws its count from Binomial(shots, P_off(eta_k)) on its
+    own (seed, l, k) substream.  Fixed seed => byte-identical datasets,
+    independent of evaluation order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -241,14 +234,9 @@ def simulate_dataset(
         raise ValueError("seed must fit in 64 bits")
     datasets = []
     for l in range(modulation.n_phases):
-        if n_max is None:
-            dist = displaced_photon_distribution_auto(
-                rho, modulation.alpha(l), tail_tol=tail_tol
-            )
-        else:
-            dist = displaced_photon_distribution(
-                rho, modulation.alpha(l), n_max, tail_tol=tail_tol
-            )
+        dist = displaced_photon_distribution_auto(
+            rho, modulation.alpha(l), tail_tol=DEFAULT_TAIL_TOL
+        )
         p_off = off_probabilities(dist, grid)
         u = np.array([_cell_uniform(seed, l + 1, k + 1) for k in range(grid.size)])
         counts = _binomial_inverse(u, shots, p_off)

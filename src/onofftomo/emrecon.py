@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import OnOffDataset
+from .detector import OnOffDataset, _thinning_matrix
 from .errors import IllConditionedError
 from .fock import PhotonDistribution, _freeze
 
@@ -100,12 +100,6 @@ class EMResult:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"EM iterate not normalized: sum={total!r}")
         object.__setattr__(self, "ll_history", _freeze(np.asarray(self.ll_history, float)))
-
-
-def _thinning_matrix(etas: np.ndarray, n_max: int) -> np.ndarray:
-    """A_kn = (1 - eta_k)^n, shape (K, n_max + 1)."""
-    n = np.arange(n_max + 1)
-    return np.power.outer(1.0 - etas, n)
 
 
 def _binomial_ll(counts: np.ndarray, shots: int, p_off: np.ndarray) -> float:

@@ -230,19 +230,29 @@ def displacement_element(n: int, m: int, alpha) -> complex:
     return complex(math.copysign(mag, mant) * unit)
 
 
-def _lower_displacement_block(a: complex, dim: int) -> np.ndarray:
-    """Entries <n|D(a)|m> for n >= m of a (dim x dim) block.
+def displacement_matrix(alpha, dim: int) -> np.ndarray:
+    """Dense (dim x dim) truncation of D(alpha) in the number basis.
 
     Every entry is evaluated from its own log-scaled Laguerre recurrence
     (vectorized over the offset d = n - m), so round-off never propagates
     between entries; naive row/column recurrences blow up in the regions
-    where the matrix elements grow from tiny seeds.
+    where the matrix elements grow from tiny seeds.  The recurrence depends
+    on |alpha| alone: column m's real magnitudes times (alpha/|alpha|)^d give
+    its lower part, and times (-alpha/|alpha|)^d, conjugated, row m's upper
+    part, by D(alpha)^dagger = D(-alpha).  The result agrees with
+    ``displacement_element`` entrywise up to round-off at any dimension.
     """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    a = complex(alpha)
+    if a == 0:
+        return np.eye(dim, dtype=complex)
     abs_a = abs(a)
     x = abs_a * abs_a
     d = np.arange(dim, dtype=float)
     lgfact = np.array([math.lgamma(i + 1.0) for i in range(dim + 1)])
     unit = (a / abs_a) ** np.arange(dim)
+    unit_back = (-a / abs_a) ** np.arange(dim)
     log_d = d * math.log(abs_a)
     out = np.zeros((dim, dim), dtype=complex)
 
@@ -269,7 +279,7 @@ def _lower_displacement_block(a: complex, dim: int) -> np.ndarray:
                 cur[low] *= _RESCALE
                 scale[low] -= _LOG_RESCALE
             mant = cur
-        n_off = dim - m  # valid offsets d = 0..n_off-1 land inside the block
+        n_off = dim - m  # valid offsets d = 0..n_off-1 land inside the matrix
         dv = slice(0, n_off)
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
             logmag = (
@@ -279,28 +289,9 @@ def _lower_displacement_block(a: complex, dim: int) -> np.ndarray:
                 + scale[dv]
                 + np.log(np.abs(mant[dv]))
             )
-            vals = np.sign(mant[dv]) * np.exp(logmag) * unit[dv]
-        rows = np.arange(m, dim)
-        out[rows, m] = vals
-    return out
-
-
-def displacement_matrix(alpha, dim: int) -> np.ndarray:
-    """Dense (dim x dim) truncation of D(alpha) in the number basis.
-
-    The lower triangle comes from the log-scaled Laguerre evaluation and the
-    upper one from D(alpha)^dagger = D(-alpha); the result agrees with
-    ``displacement_element`` entrywise up to round-off at any dimension.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    a = complex(alpha)
-    if a == 0:
-        return np.eye(dim, dtype=complex)
-    out = _lower_displacement_block(a, dim)
-    upper = _lower_displacement_block(-a, dim)
-    iu = np.triu_indices(dim, 1)
-    out[iu] = np.conj(upper.T[iu])
+            vals = np.sign(mant[dv]) * np.exp(logmag)
+            out[m:, m] = vals * unit[dv]
+            out[m, m + 1 :] = np.conj(vals * unit_back[dv])[1:]
     return out
 
 

@@ -74,9 +74,6 @@ class WignerMap:
 
     points: tuple[WignerPoint, ...]
 
-    def alphas(self) -> np.ndarray:
-        return np.array([pt.alpha for pt in self.points])
-
     def values(self) -> np.ndarray:
         return np.array([pt.value for pt in self.points])
 
@@ -270,20 +267,12 @@ class SubdiagonalFit:
 class DensityMatrixResult:
     """Near-diagonal density-matrix elements, Hermitian by construction.
 
-    Stored values cover (m+s, m) for s = 0..s_max and m = 0..m_max; the
-    mirrored elements follow by conjugation through :meth:`element`.
+    Stored values cover (m+s, m) for each fitted harmonic s and its m range;
+    the mirrored elements follow by conjugation through :meth:`element`.
     """
 
     amp: float
     fits: tuple[SubdiagonalFit, ...]
-
-    @property
-    def s_max(self) -> int:
-        return max(f.s for f in self.fits)
-
-    @property
-    def m_max(self) -> int:
-        return min(f.values.size for f in self.fits) - 1
 
     def fit(self, s: int) -> SubdiagonalFit:
         for f in self.fits:

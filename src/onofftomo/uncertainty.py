@@ -124,21 +124,14 @@ def wigner_pipeline(em_config: EMConfig | None = None) -> EMPipeline:
     return EMPipeline(em_config, (wigner_readout,))
 
 
-def dm_pipeline(
-    amp: float,
-    s_max: int,
-    m_max: int | None,
-    em_config: EMConfig,
-    *,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-) -> EMPipeline:
+def dm_pipeline(amp: float, s_max: int, m_max: int | None, em_config: EMConfig) -> EMPipeline:
     """EM per phase -> :func:`dm_readout`.
 
     The EM truncation must be pinned in ``em_config`` so every phase shares it.
     """
     if em_config.n_max is None:
         raise ValueError("dm_pipeline needs a fixed em_config.n_max")
-    return EMPipeline(em_config, (dm_readout(amp, s_max, m_max, svd_cutoff),))
+    return EMPipeline(em_config, (dm_readout(amp, s_max, m_max),))
 
 
 def _resample(ds: OnOffDataset, seed: int, replica: int, record: int) -> OnOffDataset:
@@ -226,26 +219,16 @@ class DeltaMap:
                 raise ValueError("delta entries must be >= 0")
         object.__setattr__(self, "values", _freeze(v))
 
-    def max(self) -> float:
-        return float(np.nanmax(self.values))
-
-    def rows(self):
-        """Yield (n, m, delta) over covered entries, row-major."""
-        dim = self.values.shape[0]
-        for n in range(dim):
-            for m in range(dim):
-                if not np.isnan(self.values[n, m]):
-                    yield n, m, float(self.values[n, m])
-
 
 def delta_map(exp: DensityMatrixResult, theory: FockDensityMatrix) -> DeltaMap:
     """Absolute differences between reconstructed and theoretical elements."""
-    dim = max(f.s + f.values.size for f in exp.fits)
+    rho_exp = exp.to_matrix()
+    dim = rho_exp.shape[0]
     if theory.dim < dim:
         raise ValueError(
             f"theory truncation {theory.dim} too small for reconstructed range {dim}"
         )
-    out = np.full((dim, dim), np.nan)
-    for (n, m), v in exp.items():
-        out[n, m] = abs(v - theory.entries[n, m])
-    return DeltaMap(out)
+    diff = rho_exp - theory.entries[:dim, :dim]
+    # hypot rounds as abs() of each complex entry does; np.abs on a complex
+    # array may differ from it in the last bit
+    return DeltaMap(np.hypot(diff.real, diff.imag))

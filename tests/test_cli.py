@@ -523,7 +523,14 @@ class TestExitCodes:
         {"modulation": {"amps": [0.0], "n_phases": [3]}},
         {"shots": None},
         {"em": {"n_max": "abc"}},
-    ], ids=["n_phases_list", "shots_null", "em_n_max_string"])
+        # integers are not truncated and booleans are not coerced
+        {"modulation": {"amps": [0.0], "n_phases": 2.7}},
+        {"shots": 1000.9},
+        {"em": {"max_iter": 200.5}},
+        {"state": {"kind": "fock", "n": 2.5}},
+        {"em": {"accelerate": "false"}},
+    ], ids=["n_phases_list", "shots_null", "em_n_max_string", "n_phases_fraction",
+            "shots_fraction", "em_max_iter_fraction", "fock_n_fraction", "accelerate_string"])
     def test_malformed_config(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
@@ -537,7 +544,10 @@ class TestExitCodes:
         lambda doc: doc.update(meta=None),
         lambda doc: doc["modulation"].update(phases=None),
         lambda doc: doc["records"][0]["off_counts"].__setitem__(0, 1.5),
-    ], ids=["records_int", "meta_null", "phases_null", "off_count_fraction"])
+        lambda doc: doc["meta"].update(shots=5000.7),
+        lambda doc: doc["records"][0].update(phase_index=1.5),
+    ], ids=["records_int", "meta_null", "phases_null", "off_count_fraction",
+            "meta_shots_fraction", "phase_index_fraction"])
     def test_malformed_dataset(self, tmp_path, capsys, edit):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)

@@ -112,7 +112,13 @@ class TestSchema:
         lambda doc: doc.update(records=[5]),
         lambda doc: doc.update(meta=None),
         lambda doc: doc["modulation"].update(phases=None),
-    ], ids=["records_int", "meta_null", "phases_null"])
+        # a fractional integer field must not be truncated to a valid one
+        lambda doc: doc["meta"].update(shots=1000.5),
+        lambda doc: doc["meta"].update(seed=7.5),
+        lambda doc: doc["meta"].update(truncation=40.5),
+        lambda doc: doc["records"][2].update(phase_index=3.5),
+    ], ids=["records_int", "meta_null", "phases_null", "shots_fraction", "seed_fraction",
+            "truncation_fraction", "phase_index_fraction"])
     def test_malformed_document_rejected(self, edit):
         doc = make_bundle().to_document()
         edit(doc)

@@ -12,7 +12,6 @@ from onofftomo import (
     ModulationSpec,
     OnOffDataset,
     PhotonDistribution,
-    default_grids,
     make_fock,
     make_phase_averaged_coherent,
     make_thermal,
@@ -79,15 +78,6 @@ class TestOffProbability:
 
 
 class TestGrids:
-    def test_default_grid_values(self):
-        low, high = default_grids()
-        assert low.size == 25 and high.size == 25
-        assert low.etas[0] == pytest.approx(0.0116)
-        assert low.etas[-1] == pytest.approx(0.29)
-        assert high.etas[-1] == pytest.approx(0.67)
-        assert np.all(np.diff(low.etas) > 0)
-        assert np.all(np.diff(high.etas) > 0)
-
     def test_minimal_grid_accepted(self):
         grid = uniform_grid(0.29, 2)
         assert grid.size == 2
@@ -183,12 +173,13 @@ class TestSimulation:
         bound = 3 * np.sqrt(p * (1 - p) / (n_seeds * shots))
         assert np.all(np.abs(mean_f - p) <= bound)
 
-    def test_explicit_truncation_respected(self, high_grid):
+    def test_truncation_grows_past_the_state(self, high_grid):
+        # |0> is stored at n_max 0; its displacement needs more rows, and the
+        # automatic truncation supplies them: P_off = exp(-eta |alpha|^2)
         rho = make_fock(0, 0)
-        data = simulate_dataset(
-            rho, ModulationSpec.uniform(0.3, 1), high_grid, 100, seed=5, n_max=20
-        )
+        data = simulate_dataset(rho, ModulationSpec.uniform(0.3, 1), high_grid, 10**12, seed=5)
         assert data[0].off_counts.size == high_grid.size
+        assert np.abs(data[0].frequencies - np.exp(-0.09 * high_grid.etas)).max() < 1e-5
 
 
 class TestBinomialInverse:

@@ -82,6 +82,19 @@ class TestDisplacementMatrix:
         # needs no working space beyond the rows it returns
         assert np.array_equal(displacement_matrix(a, 30), displacement_matrix(a, 120)[:30, :30])
 
+    @pytest.mark.parametrize("a", [0.7, -1.3, 0.5j, -2j, 0.4 + 0.9j, 3.0 * cmath.exp(2.2j),
+                                   5.5 - 4j, -6.0 + 0.1j])
+    @pytest.mark.parametrize("dim", [1, 2, 40, 236, 260])
+    def test_adjoint_is_negated_displacement_exactly(self, a, dim):
+        # D(-a) = D(a)^dagger bit for bit, underflowed entries and signed
+        # zeros included; on the real diagonal only the zero imaginary
+        # part's sign flips under conjugation
+        neg, adj = displacement_matrix(-a, dim), displacement_matrix(a, dim).conj().T
+        off = ~np.eye(dim, dtype=bool)
+        assert neg[off].tobytes() == adj[off].tobytes()
+        assert neg.diagonal().real.tobytes() == adj.diagonal().real.tobytes()
+        assert not neg.diagonal().imag.any() and not adj.diagonal().imag.any()
+
 
 class TestDisplacedDistribution:
     def test_zero_displacement_returns_diagonal(self):

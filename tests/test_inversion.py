@@ -115,7 +115,7 @@ class TestWignerMaps:
         vac = make_fock(0, 0).diagonal_distribution()
         one = make_fock(1, 1).diagonal_distribution()
         wmap = wigner_map_from_data([(0j, vac), (1 + 0j, vac), (0j, one)])
-        assert wmap.alphas().tolist() == [0j, 1 + 0j, 0j]
+        assert [pt.alpha for pt in wmap.points] == [0j, 1 + 0j, 0j]
         assert wmap.values().tolist() == [1.0, 1.0, -1.0]
         assert wigner_map_from_data([]).points == ()
 
