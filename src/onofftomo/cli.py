@@ -12,8 +12,12 @@ Configuration is one JSON document (unknown fields rejected):
      "dm": {"s_max": 2, "m_max": null, "svd_cutoff": 1e-8, "residual_bound": 0.05},
      "output": {"dir": "out"}}
 
+Numbers must be JSON numbers: a string or a boolean where one is expected is
+a validation error.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure (including a
-partial run with a failure manifest), 4 I/O error.
+partial run with a failure manifest), 4 I/O error.  ``--log-level`` shows the
+``onofftomo.*`` log records at that level and above on standard error.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import cmath
 import dataclasses
 import json
+import logging
 import math
 import os
 import sys
@@ -31,6 +36,7 @@ import numpy as np
 from . import selftest
 from .datafile import (
     DatasetBundle,
+    as_float,
     as_int,
     dumps_canonical,
     read_csv,
@@ -82,13 +88,14 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 
 def _number(kind, value, where: str, low=None, optional: bool = False):
-    """``kind(value)`` (kind int or float), at least ``low`` if given; None
-    passes where optional.  Anything else, a fractional number for an int
-    included, raises ConfigError naming the field."""
+    """``kind(value)`` (kind int or float) of a JSON number, at least ``low``
+    if given; None passes where optional.  Anything else, a string, a boolean
+    or a fractional number for an int included, raises ConfigError naming
+    the field."""
     if optional and value is None:
         return None
     try:
-        number = as_int(value, where) if kind is int else kind(value)
+        number = as_int(value, where) if kind is int else as_float(value, where)
     except (TypeError, ValueError) as err:
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{where} must be {expected}, got {value!r}") from err
@@ -512,14 +519,19 @@ def build_parser() -> argparse.ArgumentParser:
         "from on/off click data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--log-level", default="warning",
+                        choices=("debug", "info", "warning", "error"),
+                        help="show onofftomo log records at this level and above "
+                        "on stderr (default: warning)")
 
-    sim = sub.add_parser("simulate", help="generate a synthetic dataset file")
+    sim = sub.add_parser("simulate", parents=[common], help="generate a synthetic dataset file")
     sim.add_argument("--config", required=True, help="run configuration (JSON)")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     sim.add_argument("--out", default=None, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
-    rec = sub.add_parser("reconstruct", help="reconstruct targets from a dataset")
+    rec = sub.add_parser("reconstruct", parents=[common], help="reconstruct targets from a dataset")
     rec.add_argument("--config", required=True)
     rec.add_argument("--data", default=None, help="dataset file from 'simulate'")
     rec.add_argument("--exact", action="store_true",
@@ -532,14 +544,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="add the (2/pi)-normalized Wigner column")
     rec.set_defaults(func=cmd_reconstruct)
 
-    rep = sub.add_parser("report", help="summarize result files into plot-ready tables")
+    rep = sub.add_parser("report", parents=[common],
+                         help="summarize result files into plot-ready tables")
     rep.add_argument("--results", required=True, help="directory with reconstruct outputs")
     rep.add_argument("--config", default=None,
                      help="config providing the theory state for delta maps")
     rep.add_argument("--out", default=None)
     rep.set_defaults(func=cmd_report)
 
-    st = sub.add_parser("selftest", help="run the noiseless round-trip suite")
+    st = sub.add_parser("selftest", parents=[common], help="run the noiseless round-trip suite")
     st.set_defaults(func=cmd_selftest)
     return parser
 
@@ -547,6 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    log = logging.getLogger("onofftomo")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except json.JSONDecodeError as err:
@@ -561,6 +580,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

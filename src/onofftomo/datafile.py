@@ -8,7 +8,8 @@ A simulation run is stored as one JSON document:
      "records": [{"phase_index": 1, "off_counts": [...]}, ...]}
 
 Counts are integers and efficiencies decimal strings, so a file re-parses to
-bit-identical values.  ``amp`` is a single number for one modulation
+bit-identical values; every other number must be a JSON number, never a
+string or a boolean.  ``amp`` is a single number for one modulation
 amplitude (the format above, records keyed by 1-based ``phase_index``); runs
 covering several amplitudes store a list and each record carries an
 additional 1-based ``amp_index``.
@@ -32,10 +33,19 @@ _TWO_PI = 2.0 * math.pi
 
 
 def as_int(value, where: str) -> int:
-    """``int(value)``; a number the cast would truncate raises ValueError naming ``where``."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)`` of a JSON integer; a string, a boolean or a number the
+    cast would truncate raises ValueError naming ``where``."""
+    if isinstance(value, (str, bool)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value, where: str) -> float:
+    """``float(value)`` of a JSON number; a string or a boolean raises
+    ValueError naming ``where``."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -109,10 +119,11 @@ class DatasetBundle:
             meta = doc["meta"]
             mod = doc["modulation"]
             amp = mod["amp"]
-            amps = tuple(float(a) for a in amp) if isinstance(amp, list) else (float(amp),)
+            amps = tuple(as_float(a, "modulation.amp") for a in (amp if isinstance(amp, list)
+                                                                  else [amp]))
             if len(set(amps)) != len(amps):
                 raise ValueError("modulation amplitudes must be distinct")
-            phases = tuple(float(p) for p in mod["phases"])
+            phases = tuple(as_float(p, "modulation.phases") for p in mod["phases"])
             grid = EfficiencyGrid(np.array([float(e) for e in doc["grid"]["etas"]]))
             counts = {}
             for rec in doc["records"]:

@@ -24,8 +24,16 @@ The plain iteration runs on a block of records at once: rows that share an
 efficiency grid form an (R, n_max + 1) array, zero-padded up to the largest
 truncation among them, so one pass is two matrix products for the whole
 block.  Every row keeps its own stopping test and diagnostics, and a row
-that fails numerically leaves the block with its error.  Anderson
-extrapolation stays per record.
+that fails numerically leaves the block with its error.
+
+Accelerated records that share a grid and a truncation form a block too,
+but there each row's arithmetic is that of its one-record solve, bit for
+bit: the Anderson safeguard compares log-likelihoods that often differ only
+by rounding, so a 2-d block product, which rounds differently from the
+one-record matrix-vector product, would change which steps pass.  Their
+matrix products therefore run row by row as stacked matmuls, each one the
+matrix-vector product of the one-record solve, and each row's small
+least-squares problem is its own ``lstsq`` call.
 """
 
 from __future__ import annotations
@@ -102,13 +110,13 @@ class EMResult:
         object.__setattr__(self, "ll_history", _freeze(np.asarray(self.ll_history, float)))
 
 
-def _binomial_ll(counts: np.ndarray, shots: int, p_off: np.ndarray) -> float:
-    """sum_k [c_k ln p_k + (N - c_k) ln(1 - p_k)], degenerate terms dropped.
+def _binomial_ll(counts: np.ndarray, on: np.ndarray, p_off: np.ndarray) -> float:
+    """sum_k [c_k ln p_k + (N - c_k) ln(1 - p_k)], degenerate terms dropped;
+    ``on`` holds the N - c_k.
 
     A count at the boundary (c = 0 or c = N) drops the factor whose
     multiplier vanishes, so all-off vacuum data scores exactly 0.
     """
-    on = shots - counts
     off_mask, on_mask = counts > 0, on > 0
     with np.errstate(divide="ignore"):
         off_ll = float(counts[off_mask] @ np.log(p_off[off_mask]))
@@ -118,7 +126,7 @@ def _binomial_ll(counts: np.ndarray, shots: int, p_off: np.ndarray) -> float:
 def log_likelihood(p: PhotonDistribution, data: OnOffDataset) -> float:
     """Binomial log-likelihood of the observed off counts under p."""
     A = _thinning_matrix(data.grid.etas, p.n_max)
-    return _binomial_ll(data.off_counts, data.shots, A @ p.probs)
+    return _binomial_ll(data.off_counts, data.shots - data.off_counts, A @ p.probs)
 
 
 def default_truncation(data: OnOffDataset) -> int:
@@ -138,15 +146,24 @@ def default_truncation(data: OnOffDataset) -> int:
     return min(max(n_max, 1), _TRUNCATION_CAP)
 
 
-def _model_off(A: np.ndarray, P: np.ndarray) -> np.ndarray:
+def _rowwise(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``X @ M`` for a block X of shape (R, K), one row at a time.
+
+    A stacked matmul makes one matrix-vector BLAS call per row, so row i
+    equals the 1-d product ``X[i] @ M`` bit for bit, whatever the block;
+    a 2-d block product rounds differently.
+    """
+    return np.matmul(X[:, None, :], M)[:, 0]
+
+
+def _model_off(A: np.ndarray, P: np.ndarray, matmul=np.matmul) -> np.ndarray:
     """Off probabilities of every row of P, shape (R, K).
 
-    ``P @ A.T`` on the transposed view: for one row this equals the
-    matrix-vector product ``A @ p`` bit for bit, so the accelerated
-    iteration, whose accept decisions and pass counts follow the rounding,
-    does not depend on the block form.
+    ``P @ A.T`` on the transposed view, as one 2-d product for a plain
+    block; with ``matmul=_rowwise`` (accelerated blocks) each row equals
+    the matrix-vector product ``A @ p`` bit for bit.
     """
-    return P @ A.T
+    return matmul(P, A.T)
 
 
 def _row_failures(prenorm: np.ndarray, p_off: np.ndarray) -> dict[int, IllConditionedError]:
@@ -173,14 +190,15 @@ def _rows_ll(counts: np.ndarray, on: np.ndarray, p_off: np.ndarray) -> np.ndarra
     return (counts * np.log(p_off) + on * log_on).sum(axis=1)
 
 
-def _update(P: np.ndarray, P_off: np.ndarray, F: np.ndarray, W: np.ndarray):
+def _update(P: np.ndarray, P_off: np.ndarray, F: np.ndarray, W: np.ndarray, matmul=np.matmul):
     """One multiplicative update of every row of P, renormalized.
 
     Returns (new rows, update bracket, pre-normalization sums).  A row whose
     raw mass is not positive and finite comes out non-finite;
-    :func:`_row_failures` names it.
+    :func:`_row_failures` names it.  ``matmul`` forms the bracket as in
+    :func:`_model_off`.
     """
-    bracket = (F / P_off) @ W
+    bracket = matmul(F / P_off, W)
     new = P * bracket
     prenorm = new.sum(axis=1)
     new /= prenorm[:, None]
@@ -206,50 +224,83 @@ def em_step(p: PhotonDistribution, data: OnOffDataset) -> PhotonDistribution:
 
 
 class _Anderson:
-    """Safeguarded Anderson extrapolation over the log-iterates of one record.
+    """Safeguarded Anderson extrapolation over the log-iterates of a block of
+    records that share one truncation.
 
-    It works on 1-d rows with :func:`_binomial_ll`: the accept test compares
-    log-likelihoods that often differ only by rounding, so evaluating a block
-    of records with other BLAS call shapes would change which steps pass.
+    The log-iterates must be finite, so the block has no zero-padded rows.
+    Every row's arithmetic is that of the record solved alone, bit for bit,
+    because the accept test compares log-likelihoods that often differ only
+    by rounding.  So the matrix products (model off probabilities and the
+    extrapolation ``(dX + dR) @ gamma``) are stacked matmuls, one
+    matrix-vector call per row; each row's least-squares problem is its own
+    ``lstsq`` call; and the log-likelihood is a stacked dot only on rows
+    with no count at 0 or N, where it equals :func:`_binomial_ll`'s masked
+    dot.  The other rows take that masked dot itself.
     """
 
-    def __init__(self, A: np.ndarray, data: OnOffDataset, p: np.ndarray):
-        self.A, self.counts, self.shots = A, data.off_counts, data.shots
-        self.log_p = np.log(p)
+    def __init__(self, A: np.ndarray, counts: np.ndarray, on: np.ndarray, P: np.ndarray):
+        self.A, self.counts, self.on = A, counts, on
+        self.boundary = ((counts == 0) | (on == 0)).any(axis=1)
+        self.log_p = np.log(P)
         self.prev_log_p = self.prev_r = None
-        self.dx: list[np.ndarray] = []
-        self.dr: list[np.ndarray] = []
+        # differences of the last passes per row, oldest first, in the first
+        # `m` columns (lstsq rounds by column order, so the order is fixed)
+        self.dx = np.empty(P.shape + (_ANDERSON_MEMORY,))
+        self.dr = np.empty_like(self.dx)
+        self.m = 0
 
-    def ll(self, p_off: np.ndarray) -> float:
-        return _binomial_ll(self.counts, self.shots, p_off)
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the rows that leave the block."""
+        for name in ("counts", "on", "boundary", "log_p", "prev_log_p", "prev_r", "dx", "dr"):
+            setattr(self, name, getattr(self, name)[rows])
 
-    def step(self, bracket: np.ndarray, plain: np.ndarray, plain_off: np.ndarray):
-        """Next (p, p_off, ll): the extrapolated candidate if it keeps the
-        log-likelihood of the plain update, else the plain update.  A
-        candidate whose model off probability underflows is rejected."""
+    def ll(self, P_off: np.ndarray) -> np.ndarray:
+        """:func:`_binomial_ll` of every row.
+
+        Called with divide-by-zero warnings off (an off probability of 1).
+        """
+        ll = (np.matmul(self.counts[:, None, :], np.log(P_off)[:, :, None])[:, 0, 0]
+              + np.matmul(self.on[:, None, :], np.log1p(-P_off)[:, :, None])[:, 0, 0])
+        for j in np.flatnonzero(self.boundary).tolist():
+            ll[j] = _binomial_ll(self.counts[j], self.on[j], P_off[j])
+        return ll
+
+    def step(self, bracket: np.ndarray, plain: np.ndarray, plain_off: np.ndarray, skip):
+        """Next (P, P_off, ll): per row, the extrapolated candidate if it
+        keeps the log-likelihood of the plain update, else the plain update.
+        A candidate whose model off probability underflows is rejected, and
+        rows in ``skip`` (failed this pass) take the plain update unsolved."""
         r = np.log(np.clip(bracket, _DIV_FLOOR, None))
         if self.prev_log_p is not None:
-            self.dx.append(self.log_p - self.prev_log_p)
-            self.dr.append(r - self.prev_r)
-            if len(self.dx) > _ANDERSON_MEMORY:
-                del self.dx[0], self.dr[0]
+            if self.m == _ANDERSON_MEMORY:
+                self.dx[..., :-1] = self.dx[..., 1:]
+                self.dr[..., :-1] = self.dr[..., 1:]
+            else:
+                self.m += 1
+            self.dx[..., self.m - 1] = self.log_p - self.prev_log_p
+            self.dr[..., self.m - 1] = r - self.prev_r
         self.prev_log_p, self.prev_r = self.log_p, r
-        p, p_off, ll = plain, plain_off, self.ll(plain_off)
-        if self.dx:
-            dX = np.stack(self.dx, axis=1)
-            dR = np.stack(self.dr, axis=1)
-            gamma, *_ = np.linalg.lstsq(dR, r, rcond=None)
-            x_cand = np.clip(self.log_p + r - (dX + dR) @ gamma, _LOG_FLOOR, 50.0)
-            cand = np.exp(x_cand - x_cand.max())
-            cand /= cand.sum()
+        P, P_off, ll = plain, plain_off, self.ll(plain_off)
+        if self.m:
+            dX, dR = self.dx[..., : self.m], self.dr[..., : self.m]
+            gamma = np.zeros((len(r), self.m))
+            for j in range(len(r)):
+                if j not in skip:
+                    gamma[j] = np.linalg.lstsq(dR[j], r[j], rcond=None)[0]
+            x_cand = np.clip(self.log_p + r - np.matmul(dX + dR, gamma[:, :, None])[:, :, 0],
+                             _LOG_FLOOR, 50.0)
+            cand = np.exp(x_cand - x_cand.max(axis=1, keepdims=True))
+            cand /= cand.sum(axis=1, keepdims=True)
             cand = np.clip(cand, _DIV_FLOOR, None)
-            cand /= cand.sum()
-            cand_off = _model_off(self.A, cand[None])[0]
-            cand_ll = self.ll(cand_off) if cand_off.min() >= _DIV_FLOOR else -math.inf
-            if cand_ll >= ll - _SAFEGUARD_SLACK * max(1.0, abs(ll)):
-                p, p_off, ll = cand, cand_off, cand_ll
-        self.log_p = np.log(p)
-        return p, p_off, ll
+            cand /= cand.sum(axis=1, keepdims=True)
+            cand_off = _model_off(self.A, cand, _rowwise)
+            cand_ll = np.where(cand_off.min(axis=1) >= _DIV_FLOOR, self.ll(cand_off), -math.inf)
+            take = cand_ll >= ll - _SAFEGUARD_SLACK * np.maximum(1.0, np.abs(ll))
+            P = np.where(take[:, None], cand, plain)
+            P_off = np.where(take[:, None], cand_off, plain_off)
+            ll = np.where(take, cand_ll, ll)
+        self.log_p = np.log(P)
+        return P, P_off, ll
 
 
 def _result(p, iterations, converged, residual, prenorm, ll_hist, cfg) -> EMResult:
@@ -294,9 +345,11 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
     its own stopping test, pre-normalization sum and likelihood history.  A
     row leaves the block when it converges, and also when its update mass
     is not positive and finite or its model off probability underflows; its
-    result is then that IllConditionedError.  With ``cfg.accelerate`` the
-    block must be a single record.
+    result is then that IllConditionedError.  With ``cfg.accelerate`` every
+    row has the same truncation and runs through :class:`_Anderson`, whose
+    products are row-wise.
     """
+    matmul = _rowwise if cfg.accelerate else np.matmul
     A = _thinning_matrix(datasets[0].grid.etas, max(n_maxes))
     W = A / A.sum(axis=0, keepdims=True)
     sizes = np.array(n_maxes)[:, None] + 1
@@ -308,8 +361,8 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
     # uniform on each row's support: its off probabilities are at least
     # 1 / (n_max + 1), so the start needs no underflow check
     P = (floor > 0) / sizes
-    P_off = _model_off(A, P)
-    anderson = _Anderson(A, datasets[0], P[0]) if cfg.accelerate else None
+    P_off = _model_off(A, P, matmul)
+    anderson = _Anderson(A, counts, on, P) if cfg.accelerate else None
     # log-likelihood of iterate t of record i in ll_hist[t, i]; doubled as
     # needed, up to the max_iter + 1 iterates a row can have
     ll_hist = np.empty((min(cfg.max_iter, 1023) + 1, len(datasets)))
@@ -318,13 +371,13 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
 
     # a failed row computes non-finite values until the end of its pass
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ll_hist[0] = anderson.ll(P_off[0]) if anderson is not None else _rows_ll(counts, on, P_off)
+        ll_hist[0] = anderson.ll(P_off) if anderson is not None else _rows_ll(counts, on, P_off)
         for it in range(1, cfg.max_iter + 1):
-            plain, bracket, prenorm = _update(P, P_off, F, W)
+            plain, bracket, prenorm = _update(P, P_off, F, W, matmul)
             residual = np.abs(plain - P).max(axis=1)
             plain = np.maximum(plain, floor)
             plain /= plain.sum(axis=1, keepdims=True)
-            plain_off = _model_off(A, plain)
+            plain_off = _model_off(A, plain, matmul)
             # a row whose update mass is not positive and finite has a NaN
             # residual, so a quiet pass has no failed row
             quiet = residual.min() >= cfg.tol and plain_off.min() >= _DIV_FLOOR
@@ -332,9 +385,8 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
             if it == ll_hist.shape[0]:
                 ll_hist = np.concatenate(
                     [ll_hist, np.empty((min(it, cfg.max_iter + 1 - it), len(datasets)))])
-            if anderson is not None and not failed:
-                p, p_off, ll = anderson.step(bracket[0], plain[0], plain_off[0])
-                P, P_off = p[None], p_off[None]
+            if anderson is not None:
+                P, P_off, ll = anderson.step(bracket, plain, plain_off, failed)
             else:
                 P, P_off = plain, plain_off
                 ll = _rows_ll(counts, on, P_off)
@@ -354,6 +406,8 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
                 break
             P, P_off, F, counts, on, floor, live = (
                 x[keep] for x in (P, P_off, F, counts, on, floor, live))
+            if anderson is not None:
+                anderson.keep(keep)
     return results
 
 
@@ -366,7 +420,10 @@ def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
     records (``accelerate=False``) that share an efficiency grid are
     iterated together as one block whatever their truncations, which costs
     about as much as a single record; each keeps its own stopping test and
-    diagnostics.  Accelerated records run one at a time.  A record whose
+    diagnostics.  Accelerated records form one block per grid and
+    truncation (Anderson works on log-iterates, so zero-padded rows cannot
+    join); their products run row by row, so each result is bit-identical to
+    the record's one-record solve.  A record whose
     iteration fails numerically gets its IllConditionedError in place of a
     result; the other records are unaffected.
     """
@@ -376,7 +433,8 @@ def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
         n_max = [cfg.n_max or default_truncation(ds) for ds in datasets]
     blocks: dict = {}
     for i, ds in enumerate(datasets):
-        blocks.setdefault(i if cfg.accelerate else ds.grid.etas.tobytes(), []).append(i)
+        grid = ds.grid.etas.tobytes()
+        blocks.setdefault((grid, n_max[i]) if cfg.accelerate else grid, []).append(i)
     results: list = [None] * len(datasets)
     for idx in blocks.values():
         solved = _solve_block([datasets[i] for i in idx], [n_max[i] for i in idx], cfg)

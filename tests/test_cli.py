@@ -529,8 +529,15 @@ class TestExitCodes:
         {"em": {"max_iter": 200.5}},
         {"state": {"kind": "fock", "n": 2.5}},
         {"em": {"accelerate": "false"}},
+        # numbers are JSON numbers: strings and booleans are not cast
+        {"shots": "1000"},
+        {"modulation": {"amps": [0.0], "n_phases": True}},
+        {"grid": {"k": 25, "eta_max": "0.5"}},
+        {"modulation": {"amps": ["0.5"], "n_phases": 1}},
+        {"em": {"tol": True}},
     ], ids=["n_phases_list", "shots_null", "em_n_max_string", "n_phases_fraction",
-            "shots_fraction", "em_max_iter_fraction", "fock_n_fraction", "accelerate_string"])
+            "shots_fraction", "em_max_iter_fraction", "fock_n_fraction", "accelerate_string",
+            "shots_string", "n_phases_bool", "eta_max_string", "amp_string", "em_tol_bool"])
     def test_malformed_config(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
@@ -546,8 +553,13 @@ class TestExitCodes:
         lambda doc: doc["records"][0]["off_counts"].__setitem__(0, 1.5),
         lambda doc: doc["meta"].update(shots=5000.7),
         lambda doc: doc["records"][0].update(phase_index=1.5),
+        lambda doc: doc["meta"].update(shots="2000"),
+        lambda doc: doc["records"][0].update(phase_index=True),
+        lambda doc: doc["modulation"].update(amp="0.0"),
+        lambda doc: doc["modulation"].update(phases=["0.0"]),
     ], ids=["records_int", "meta_null", "phases_null", "off_count_fraction",
-            "meta_shots_fraction", "phase_index_fraction"])
+            "meta_shots_fraction", "phase_index_fraction", "meta_shots_string",
+            "phase_index_bool", "amp_string", "phase_string"])
     def test_malformed_dataset(self, tmp_path, capsys, edit):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
@@ -563,6 +575,22 @@ class TestExitCodes:
         assert os.listdir(rec) == []
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+    def test_log_level_info_shows_max_iter(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, em={"tol": 1e-12, "max_iter": 3, "accelerate": False},
+                     targets=["pn"])
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = tmp_path / "out" / "dataset.json"
+        args = ["reconstruct", "--config", str(cfg), "--data", str(data)]
+        capsys.readouterr()
+        assert main(args) == 0
+        quiet = capsys.readouterr()
+        assert "EM hit max_iter" not in quiet.err
+        assert main(args + ["--log-level", "info"]) == 0
+        loud = capsys.readouterr()
+        assert "INFO onofftomo.emrecon: EM hit max_iter=3" in loud.err
+        assert loud.out == quiet.out
 
     def test_selftest_passes(self):
         assert main(["selftest"]) == 0

@@ -299,6 +299,91 @@ class TestBatch:
             assert res.converged
             assert (res.iterations, res.final_ll, res.ll_decreases) == self.ACCELERATED_PINS[name]
 
+    # One-record accelerated solves (iterations, final log-likelihood,
+    # likelihood decreases) of eight 10^12-shot records of thermal(1) at
+    # |alpha| = 2 (seed 3) and a vacuum record, every one at n_max 23, as
+    # solved one at a time before accelerated records shared a block.  The
+    # block must reproduce them exactly; the vacuum record has a count at N.
+    BLOCK_PINS = [
+        (496, -13490518583068.666, 12),
+        (496, -13490518739084.355, 7),
+        (652, -13490517767383.871, 16),
+        (691, -13490516844595.285, 11),
+        (270, -13490517649258.822, 12),
+        (267, -13490512733542.562, 15),
+        (62, -13490515993861.465, 25),
+        (199, -13490514624049.324, 16),
+        (16, -419548981.44086486, 0),
+    ]
+
+    def test_accelerated_block_reproduces_one_record_pins(self, high_grid, monkeypatch):
+        from onofftomo import emrecon
+
+        shots = 10**12
+        data = simulate_dataset(make_thermal(1.0, 60), ModulationSpec.uniform(2.0, 8), high_grid,
+                                shots, seed=3)
+        vacuum = OnOffDataset(grid=high_grid, shots=shots,
+                              off_counts=np.full(high_grid.size, shots), amp=0.0, phase=0.0)
+        records = data + [vacuum]
+        blocks = []
+        solve_block = emrecon._solve_block
+        monkeypatch.setattr(emrecon, "_solve_block",
+                            lambda ds, *a: blocks.append(len(ds)) or solve_block(ds, *a))
+        cfg = EMConfig(n_max=23)
+        batch = reconstruct_pn_batch(records, cfg)
+        assert blocks == [9]
+        assert [(r.iterations, r.final_ll, r.ll_decreases) for r in batch] == self.BLOCK_PINS
+        assert all(r.converged for r in batch)
+        for i in (6, 8):
+            assert _same_result(batch[i], reconstruct_pn(records[i], cfg))
+
+    def test_failed_row_leaves_an_accelerated_block_alone(self):
+        # at n_max 5 the accelerated solve of the underflowing record fails
+        # after a few Anderson steps; the healthy rows run on to max_iter
+        bad = self._underflowing_record()
+        records = [dataclasses.replace(bad, off_counts=np.array(c))
+                   for c in ([8, 6, 5, 4], [9, 8, 7, 6], [7, 5, 3, 2])]
+        records.insert(1, bad)
+        cfg = EMConfig(n_max=5, tol=1e-12, max_iter=3000, accelerate=True)
+        batch = reconstruct_pn_batch(records, cfg)
+        assert isinstance(batch[1], IllConditionedError)
+        assert "underflowed" in str(batch[1])
+        with pytest.raises(IllConditionedError, match="underflowed"):
+            reconstruct_pn(bad, cfg)
+        for i in (0, 2, 3):
+            assert _same_result(batch[i], reconstruct_pn(records[i], cfg))
+        assert {r.iterations for r in batch if not isinstance(r, Exception)} == {100, 3000}
+
+    @pytest.mark.parametrize("k, n_max", [(25, 16), (25, 20), (25, 21), (25, 23), (25, 34), (4, 5)])
+    def test_rowwise_products_match_one_record_products(self, k, n_max):
+        # accelerated blocks are bit-identical to one-record solves only
+        # because every stacked product rounds as its 1-d counterpart; a
+        # numpy or BLAS change that breaks this must fail here, not by moving
+        # the pins above
+        from onofftomo.detector import _thinning_matrix
+        from onofftomo.emrecon import _Anderson, _binomial_ll, _rowwise
+
+        rng = np.random.default_rng(k * 100 + n_max)
+        A = _thinning_matrix(uniform_grid(0.67, k).etas, n_max)
+        W = A / A.sum(axis=0, keepdims=True)
+        P = rng.dirichlet(np.ones(n_max + 1), size=16)
+        X = rng.uniform(0.5, 2.0, size=(16, k))
+        S = rng.normal(size=(16, n_max + 1, 10))
+        G = rng.normal(size=(16, 10))
+        counts = rng.integers(1, 10**12, size=(16, k)).astype(float)
+        on = 10.0**12 - counts
+        P_off = _rowwise(P, A.T)
+        ll = _Anderson(A, counts, on, P).ll(P_off)
+        stacked = np.matmul(S, G[:, :, None])[:, :, 0]
+        message = ("row-wise stacked products no longer round as one-record products on this "
+                   "numpy/BLAS: accelerated blocks would not reproduce one-record solves")
+        for i in range(16):
+            assert np.array_equal(P_off[i], A @ P[i]), message
+            assert np.array_equal(_rowwise(X, W)[i], X[i] @ W), message
+            assert np.array_equal(stacked[i], S[i] @ G[i]), message
+            assert ll[i] == _binomial_ll(counts[i], on[i], P_off[i]), message
+            assert np.array_equal(P.sum(axis=1)[i], P[i].sum()), message
+
     def test_empty_batch(self):
         assert reconstruct_pn_batch([], EMConfig(n_max=4, accelerate=False)) == []
 
