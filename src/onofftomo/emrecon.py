@@ -303,14 +303,7 @@ class _Anderson:
         return P, P_off, ll
 
 
-def _result(p, iterations, converged, residual, prenorm, ll_hist, cfg) -> EMResult:
-    if not converged:
-        logger.info(
-            "EM hit max_iter=%d with residual %.3e (tol %.1e)",
-            cfg.max_iter,
-            residual,
-            cfg.tol,
-        )
+def _result(p, iterations, converged, residual, prenorm, ll_hist) -> EMResult:
     ll = np.asarray(ll_hist)
     drops = np.diff(ll) < -1e-12 * np.maximum(1.0, np.abs(ll[:-1]))
     n_drops = int(drops.sum())
@@ -401,7 +394,7 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
                 i = live[j]
                 results[i] = failed[j] if j in failed else _result(
                     P[j, : n_maxes[i] + 1], it, bool(done[j]), residual[j], prenorm[j],
-                    ll_hist[: it + 1, i], cfg)
+                    ll_hist[: it + 1, i])
             if not keep.any():
                 break
             P, P_off, F, counts, on, floor, live = (
@@ -423,9 +416,10 @@ def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
     diagnostics.  Accelerated records form one block per grid and
     truncation (Anderson works on log-iterates, so zero-padded rows cannot
     join); their products run row by row, so each result is bit-identical to
-    the record's one-record solve.  A record whose
-    iteration fails numerically gets its IllConditionedError in place of a
-    result; the other records are unaffected.
+    the record's one-record solve.  A record that stops at ``max_iter`` is
+    logged at INFO with its row in ``datasets``, amplitude and phase.  A
+    record whose iteration fails numerically gets its IllConditionedError in
+    place of a result; the other records are unaffected.
     """
     cfg = config or EMConfig()
     datasets = list(datasets)
@@ -440,6 +434,10 @@ def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
         solved = _solve_block([datasets[i] for i in idx], [n_max[i] for i in idx], cfg)
         for i, res in zip(idx, solved):
             results[i] = res
+            if isinstance(res, EMResult) and not res.converged:
+                logger.info("EM hit max_iter=%d with residual %.3e (tol %.1e) on row %d "
+                            "(amp %.6g, phase %.6g)", cfg.max_iter, res.residual, cfg.tol, i,
+                            datasets[i].amp, datasets[i].phase)
     return results
 
 

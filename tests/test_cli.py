@@ -578,8 +578,8 @@ class TestExitCodes:
 
     def test_log_level_info_shows_max_iter(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        write_config(cfg, em={"tol": 1e-12, "max_iter": 3, "accelerate": False},
-                     targets=["pn"])
+        write_config(cfg, modulation={"amps": [0.0, 0.5], "n_phases": 2},
+                     em={"tol": 1e-12, "max_iter": 3, "accelerate": False}, targets=["pn"])
         assert main(["simulate", "--config", str(cfg)]) == 0
         data = tmp_path / "out" / "dataset.json"
         args = ["reconstruct", "--config", str(cfg), "--data", str(data)]
@@ -590,6 +590,10 @@ class TestExitCodes:
         assert main(args + ["--log-level", "info"]) == 0
         loud = capsys.readouterr()
         assert "INFO onofftomo.emrecon: EM hit max_iter=3" in loud.err
+        # each line names its record: row of the EM call, amplitude and phase
+        hits = [ln.split(" on ", 1)[1] for ln in loud.err.splitlines() if "EM hit max_iter" in ln]
+        assert hits == ["row 0 (amp 0, phase 0)", "row 1 (amp 0, phase 3.14159)",
+                        "row 2 (amp 0.5, phase 0)", "row 3 (amp 0.5, phase 3.14159)"]
         assert loud.out == quiet.out
 
     def test_selftest_passes(self):
@@ -606,7 +610,7 @@ class TestExitCodes:
 
 
 class TestStartup:
-    """The CLI starts on numpy alone; sampling counts loads only scipy.special."""
+    """The CLI starts on numpy alone; sampling above 10^6 shots loads only scipy.special."""
 
     SCRIPT = """
 import sys
@@ -625,3 +629,26 @@ print('scipy.stats' in sys.modules)
         out = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, check=True,
                              capture_output=True, text=True).stdout.splitlines()
         assert out == ["[]", "False"]
+
+    SIMULATE = """
+import sys
+from onofftomo import ModulationSpec, make_thermal, simulate_dataset, uniform_grid
+for shots in (30000, 10**12):
+    simulate_dataset(make_thermal(1.0, 30), ModulationSpec.uniform(0.5, 2), uniform_grid(0.67, 25),
+                     shots=shots, seed=3)
+    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+
+    def test_simulate_loads_scipy_special_only_above_the_window(self):
+        # 30000 shots are sampled in numpy; 10^12 shots load scipy.special
+        # (with what it imports itself) and no other scipy module
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        special = ("import sys, scipy.special; "
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        want = subprocess.run([sys.executable, "-c", special], env=env, check=True,
+                              capture_output=True, text=True).stdout.splitlines()
+        out = subprocess.run([sys.executable, "-c", self.SIMULATE], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert out == ["[]"] + want

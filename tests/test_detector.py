@@ -20,7 +20,14 @@ from onofftomo import (
     simulate_dataset,
     uniform_grid,
 )
-from onofftomo.detector import _binomial_inverse
+from onofftomo.detector import (
+    _CDF_EPS,
+    _WINDOW_MAX_TRIALS,
+    _betainc_inverse,
+    _binomial_inverse,
+    _window_cdf,
+    _window_inverse,
+)
 from onofftomo.errors import IllConditionedError
 from conftest import geometric_pmf, poisson_pmf
 
@@ -195,6 +202,48 @@ class TestBinomialInverse:
         p = np.concatenate([rng.random(2000), edge[:1000], 1.0 - edge[1000:]])
         want = np.clip(stats.binom.ppf(u, n, p), 0, n).astype(np.int64)
         assert np.array_equal(_binomial_inverse(u, n, p), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 30000, 120000, _WINDOW_MAX_TRIALS])
+    def test_window_matches_betainc(self, n):
+        # the numpy window settles nearly every cell, and every count it
+        # settles is the betainc inversion's
+        rng = np.random.default_rng(n + 1)
+        u = rng.random(2000)
+        p = np.concatenate([rng.random(1700), np.repeat([1e-15, 1 - 1e-15, 1e-300], 100)])
+        assert _window_inverse(u, n, p)[1].mean() > 0.99
+        assert np.array_equal(_binomial_inverse(u, n, p), _betainc_inverse(u, n, p))
+
+    def test_window_error_is_far_below_the_margin(self):
+        # _CDF_EPS is at least 30 times the window CDF's distance from
+        # betainc at the largest n the window takes
+        from scipy.special import betainc
+
+        n = _WINDOW_MAX_TRIALS
+        rng = np.random.default_rng(0)
+        edge = 10 ** rng.uniform(-15, 0, 64)
+        worst = 0.0
+        for p in np.split(np.concatenate([rng.random(192), edge[:32], 1 - edge[32:]]), 4):
+            lo, F, below, above = _window_cdf(n, p)
+            j = rng.integers(0, F.shape[1], size=(p.size, 16))
+            k = lo[:, None] + j
+            kk = np.minimum(k, n - 1)
+            want = np.where(k >= n, 1.0, betainc(n - kk, kk + 1, (1.0 - p)[:, None]))
+            worst = max(worst, np.abs(np.take_along_axis(F, j, axis=1) - want).max())
+            assert max(below.max(), above.max()) < 1e-20
+        assert 30 * worst <= _CDF_EPS
+
+    def test_u_within_margin_of_a_step_falls_back(self):
+        from scipy.special import betainc
+
+        n, k = 30000, 9000
+        p = np.full(7, 0.3)
+        step = betainc(n - k, k + 1, 1.0 - 0.3)  # CDF(k)
+        u = step + np.array([-10.0, -0.5, -0.1, 0.0, 0.1, 0.5, 10.0]) * _CDF_EPS
+        certified = _window_inverse(u, n, p)[1]
+        assert certified.tolist() == [True] + [False] * 5 + [True]
+        counts = _binomial_inverse(u, n, p)
+        assert counts.tolist() == [k] * 4 + [k + 1] * 3
+        assert np.array_equal(counts, _betainc_inverse(u, n, p))
 
     def test_edges(self):
         u = np.array([0.0, 0.3, 0.999, 0.0, 0.7, 0.0, 0.5])
