@@ -9,15 +9,18 @@ Sampling is counter-based: each (seed, phase_index, efficiency_index) cell
 owns a Philox substream and draws its count by inverting the binomial CDF on
 a single uniform, so results do not depend on iteration order or thread
 count.  A count is the smallest c with CDF(c) >= u, where CDF is the
-regularized incomplete beta of scipy.special.betainc.  Up to 10^6 shots a
+regularized incomplete beta of scipy.special.betainc.  Up to 10^5 shots a
 numpy CDF, summed over a window of counts about n p, settles nearly every
 cell without scipy.  It keeps a count only when u lies more than 10^-9 from
-the CDF steps on either side, and its measured distance from betainc is
-over a hundred times smaller than that, so betainc picks the same count and
-no dataset depends on the path.  Cells it cannot certify (about 1.5 in 10^6
-at 30000 shots), every cell above 10^6 shots and non-finite probabilities
-go to the betainc inversion, which imports scipy.special when first needed;
-the rest of the package runs on numpy alone.
+the CDF's bounds on either side of the step.  The window's rounding error
+is bounded below 3e-12, and betainc's distance from the window, measured
+over 10^5 random cells at 10^5 shots, stays below 10^-12, so betainc picks
+the same count and no dataset depends on the path.  That agreement rests
+on this measurement of betainc, not on a proof.  Cells the window cannot
+certify (about 2.5 in 10^6 at 30000 shots), every cell above 10^5 shots and
+non-finite probabilities go to the betainc inversion, which imports
+scipy.special when first needed; the rest of the package runs on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -180,13 +183,20 @@ def _cell_uniform(seed: int, phase_index: int, eta_index: int) -> float:
     return float(gen.random())
 
 
-# The window CDF is trusted up to _WINDOW_MAX_TRIALS trials: its largest
-# measured distance from betainc there is 6.2e-12 (10^5 random cells at
-# n = 10^6, ten counts each), and the certification margin _CDF_EPS is 160
-# times that.
-_WINDOW_MAX_TRIALS = 10**6
+# The window CDF is used up to _WINDOW_MAX_TRIALS trials, where it costs
+# about 1.3 ms per 25-cell record against 0.2 ms for betainc: a simulate
+# of 48 records at 10^5 shots ran 0.38 s against 0.47 s with the betainc
+# inversion and its scipy.special import, and broke even near 100 records
+# (near 280 at 30000 shots).  Its rounding error is at most
+# 12 * width * 2^-53, 3.0e-12 at the widest window there (2,239 counts).
+# betainc's largest distance from it, measured over 10^5 random cells at
+# n = 10^5 (ten counts each, p uniform with a fifth within 10^-15 to 1 of 0
+# or 1), is 8.7e-13, mostly the mass outside the window.  The
+# certification margin _CDF_EPS is over 300 times both.
+_WINDOW_MAX_TRIALS = 10**5
 _CDF_EPS = 1e-9
-_WINDOW_ROWS = 64  # cells per window chunk: 64 x 12,025 entries at 10^6 trials
+_WINDOW_SD = 7.0  # window half-width in standard deviations, plus 12 counts
+_WINDOW_ROWS = 64  # cells per window chunk: 64 x 2,239 entries at 10^5 trials
 
 
 def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -194,46 +204,57 @@ def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Returns ``(lo, F, below, above)``.  ``F[i, j]`` is the pmf of cell i
     summed from ``lo[i]`` to ``lo[i] + j`` and divided by its sum over the
-    whole window, so the last entry is 1.  The pmf rises up to its mode and
-    falls after it, and the window contains the mode, so ``below`` =
-    lo * pmf(lo) and ``above`` = (n - hi) * pmf(hi), in the same units,
-    bound the mass outside the window, and the CDF at count lo + j lies in
-    [F - below - above, F + below].  log(pmf(k) / pmf(lo)) is the
-    cumulative sum of log((n - j) / (j + 1)) + log(p / q) over lo <= j < k,
-    with q = 1 - p as betainc's argument rounds it.  Each window spans
-    n p +- (12 sd + 12) within [0, n]; all cells take the widest one's
-    width, shifted down where it would pass n.
+    whole window, so the last entry is 1; ``below`` and ``above``, in the
+    same units, bound the mass under and over the window, and the CDF at
+    count lo + j lies in [F - above, F + below].  The pmf is built by
+    cumprod of pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * s / t from 1 at
+    the window's low end, with s = min(p, q) and q = 1 - p as betainc's
+    argument rounds it: for p > 1/2 the window is built for n - c and
+    reversed, so the product never passes exp(100) and cannot overflow.
+    Past either end the pmf falls at least geometrically, by its ratio at
+    that end, which gives ``below`` and ``above``.  F's relative rounding
+    error is at most (10 * width + 1) * 2^-53: four roundings per pmf ratio
+    and one per cumsum step in each of its two sums, and the division.
+    Each window spans n s +- (7 sd + 12) within [0, n]; all cells take the
+    widest one's width, shifted down where it would pass n.
     """
     q = 1.0 - p
     p = 1.0 - q  # the success probability of betainc's binomial
-    mean = n * p
-    half = np.ceil(12.0 * np.sqrt(mean * q) + 12.0)
+    flip = p > 0.5
+    s, t = np.where(flip, q, p), np.where(flip, p, q)
+    mean = n * s
+    half = np.ceil(_WINDOW_SD * np.sqrt(mean * t) + 12.0)
     lo = np.clip(np.floor(mean) - half, 0, n)
     width = int((np.clip(np.floor(mean) + half, 0, n) - lo).max()) + 1
     lo = np.minimum(lo, n + 1 - width)
-    k = lo[:, None] + np.arange(width - 1)
-    with np.errstate(divide="ignore"):  # q rounds to 1 for p below 2^-54: pmf(k > 0) = 0
-        log_odds = np.log(p) - np.log(q)
-    log_pmf = np.zeros((p.size, width))
-    np.cumsum(np.log((n - k) / (k + 1)) + log_odds[:, None], axis=1, out=log_pmf[:, 1:])
-    pmf = np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True))
-    F = np.cumsum(pmf, axis=1)
-    total = F[:, -1]
     hi = lo + width - 1
-    return (lo.astype(np.int64), F / total[:, None], lo * pmf[:, 0] / total,
-            (n - hi) * pmf[:, -1] / total)
+    odds = s / t
+    k = lo[:, None] + np.arange(width - 1)
+    pmf = np.ones((p.size, width))
+    np.cumprod((n - k) / (k + 1) * odds[:, None], axis=1, out=pmf[:, 1:])
+    # pmf(lo - 1) / pmf(lo), below 1 as lo < n s (and 0 at lo = 0, where s may be 0)
+    rho = np.divide(lo, (n - lo + 1) * odds, out=np.zeros_like(odds), where=lo > 0)
+    sigma = (n - hi) / (hi + 1) * odds  # pmf(hi + 1) / pmf(hi), below 1 as hi > n s
+    below, above = pmf[:, 0] * rho / (1.0 - rho), pmf[:, -1] * sigma / (1.0 - sigma)
+    pmf[flip] = pmf[flip, ::-1]
+    below, above = np.where(flip, above, below), np.where(flip, below, above)
+    F = np.cumsum(pmf, axis=1)
+    total = F[:, -1].copy()
+    F /= total[:, None]
+    return np.where(flip, n - hi, lo).astype(np.int64), F, below / total, above / total
 
 
 def _window_inverse(u: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(counts, certified)``: the counts of :func:`_window_cdf` it can vouch for.
 
     A cell's count c is the first window entry with F >= u.  It is certified
-    when F(c) - above - below - eps >= u > F(c - 1) + below + eps, with
-    eps = ``_CDF_EPS``: betainc's CDF lies within eps of F, so it is below u
-    up to c - 1 and at least u from c on, within the window.  For
-    eps < u < 1 - eps the betainc inversion's normal guess lies within
-    6.1 sd of n p, inside the window, and it walks one count at a time to
-    the same c.  A cell with a non-finite p is not certified.
+    when F(c) - above - eps >= u > F(c - 1) + below + eps, with
+    eps = ``_CDF_EPS``: betainc's CDF stays within eps of F (see
+    ``_WINDOW_MAX_TRIALS``), so it is below u up to c - 1 and at least u
+    from c on, within the window.  For eps < u < 1 - eps the betainc
+    inversion's normal guess lies within 6 sd of n p, inside the window,
+    and it walks one count at a time to the same c.  A cell with a
+    non-finite p is not certified.
     """
     counts = np.zeros(u.size, dtype=np.int64)
     certified = np.zeros(u.size, dtype=bool)
@@ -243,7 +264,7 @@ def _window_inverse(u: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, n
         lo, F, below, above = _window_cdf(n, p[idx])
         rows = np.arange(idx.size)
         c = np.minimum(np.count_nonzero(F < u[idx, None], axis=1), F.shape[1] - 1)
-        at = F[rows, c] - above - below
+        at = F[rows, c] - above
         before = np.where(c > 0, F[rows, c - 1], 0.0) + below
         certified[idx] = (at - _CDF_EPS >= u[idx]) & (u[idx] > before + _CDF_EPS)
         counts[idx] = lo + c
@@ -255,15 +276,14 @@ def _betainc_inverse(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
 
     CDF(c) = I_{1-p}(n - c, c + 1), the regularized incomplete beta.  Each
     cell starts from the normal guess floor(n p + ndtri(u) sqrt(n p (1 - p)))
-    and steps by one until CDF(c - 1) < u <= CDF(c); from 7 to 10^12 trials
-    that takes at most about three steps.  Each step evaluates the CDF once
-    per moving cell, at the new end of its bracket (the other end is the CDF
-    it already has), and a cell leaves the loop once it stops.  A non-finite
-    CDF value raises instead of returning the guess.
+    and every unsettled cell steps by one together until
+    CDF(c - 1) < u <= CDF(c); from 7 to 10^12 trials that takes at most
+    about three steps.  A non-finite CDF value raises instead of returning
+    the guess.
     """
     from scipy.special import betainc, ndtri
 
-    def cdf(c, p):
+    def cdf(c):
         k = np.clip(c, 0, n - 1)
         val = np.where(c < 0, 0.0, np.where(c >= n, 1.0, betainc(n - k, k + 1, 1.0 - p)))
         if not np.all(np.isfinite(val)):
@@ -273,20 +293,12 @@ def _betainc_inverse(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         guess = np.floor(n * p + ndtri(u) * np.sqrt(n * p * (1.0 - p)))
     c = np.clip(np.nan_to_num(guess), 0, n).astype(np.int64)
-    at, before = cdf(c, p), cdf(c - 1, p)
-    counts = np.empty_like(c)
-    idx = np.arange(c.size)
-    while idx.size:
-        step = (at < u).astype(np.int64) - ((c > 0) & (before >= u))
-        moving = step != 0
-        counts[idx[~moving]] = c[~moving]
-        idx, u, p, c, at, before, step = (
-            x[moving] for x in (idx, u, p, c, at, before, step))
+    while True:
+        step = (cdf(c) < u).astype(np.int64) - ((c > 0) & (cdf(c - 1) >= u))
+        if not step.any():
+            break
         c += step
-        up = step > 0
-        fresh = cdf(np.where(up, c, c - 1), p)
-        at, before = np.where(up, fresh, before), np.where(up, at, fresh)
-    return counts
+    return c
 
 
 def _binomial_inverse(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
@@ -296,10 +308,11 @@ def _binomial_inverse(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     p >= 1 give 0 and n.  Up to ``_WINDOW_MAX_TRIALS`` trials,
     :func:`_window_inverse` sets every count it can certify in numpy, and
     only the others go to the betainc inversion, so scipy.special is
-    imported only above 10^6 trials, for a non-finite p, or for the rare
+    imported only above 10^5 trials, for a non-finite p, or for the rare
     cell whose u lies within ``_CDF_EPS`` of a CDF step.  Certification
-    makes both paths return the same count, so the path a cell takes never
-    changes a dataset.
+    makes both paths return the same count as long as betainc stays within
+    ``_CDF_EPS`` of the window, as it did with a wide margin on the sample
+    described at ``_WINDOW_MAX_TRIALS``.
     """
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)

@@ -610,7 +610,7 @@ class TestExitCodes:
 
 
 class TestStartup:
-    """The CLI starts on numpy alone; sampling above 10^6 shots loads only scipy.special."""
+    """The CLI starts on numpy alone; sampling above 10^5 shots loads only scipy.special."""
 
     SCRIPT = """
 import sys
