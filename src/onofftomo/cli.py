@@ -512,6 +512,13 @@ def cmd_selftest(_args) -> int:
     return 0 if selftest.run_selftest() else 3
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer under the config rule 0 <= seed < 2**64."""
+    if not (text.isdecimal() and int(text) < 2**64):
+        raise argparse.ArgumentTypeError(f"expected an integer 0 <= seed < 2**64, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onofftomo",
@@ -527,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common], help="generate a synthetic dataset file")
     sim.add_argument("--config", required=True, help="run configuration (JSON)")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sim.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     sim.add_argument("--out", default=None, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
@@ -538,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="analytic pipeline from the config state (no dataset)")
     rec.add_argument("--bootstrap", type=int, default=None, metavar="B",
                      help="attach bootstrap error columns (B replicas)")
-    rec.add_argument("--seed", type=int, default=None, help="bootstrap seed override")
+    rec.add_argument("--seed", type=_seed, default=None, help="bootstrap seed override")
     rec.add_argument("--out", default=None)
     rec.add_argument("--conventional-wigner", action="store_true",
                      help="add the (2/pi)-normalized Wigner column")

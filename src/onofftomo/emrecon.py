@@ -30,10 +30,9 @@ Accelerated records that share a grid and a truncation form a block too,
 but there each row's arithmetic is that of its one-record solve, bit for
 bit: the Anderson safeguard compares log-likelihoods that often differ only
 by rounding, so a 2-d block product, which rounds differently from the
-one-record matrix-vector product, would change which steps pass.  Their
-matrix products therefore run row by row as stacked matmuls, each one the
-matrix-vector product of the one-record solve, and each row's small
-least-squares problem is its own ``lstsq`` call.
+one-record matrix-vector product, would change which steps pass.  So their
+products run as one matrix-vector call per row, and one stacked ``lstsq``
+call solves each row's least-squares problem as ``np.linalg.lstsq`` would.
 """
 
 from __future__ import annotations
@@ -43,6 +42,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# the gufunc behind np.linalg.lstsq, which refuses stacks of matrices; it runs
+# the same gelsd call on each matrix of a stack, so each rounds as if alone
+from numpy.linalg._umath_linalg import lstsq as _stacked_lstsq
 
 from .detector import OnOffDataset, _thinning_matrix
 from .errors import IllConditionedError
@@ -58,6 +60,7 @@ _TRUNCATION_CAP = 200
 _LOG_FLOOR = -700.0
 _ANDERSON_MEMORY = 10
 _SAFEGUARD_SLACK = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -146,22 +149,12 @@ def default_truncation(data: OnOffDataset) -> int:
     return min(max(n_max, 1), _TRUNCATION_CAP)
 
 
-def _rowwise(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``X @ M`` for a block X of shape (R, K), one row at a time.
-
-    A stacked matmul makes one matrix-vector BLAS call per row, so row i
-    equals the 1-d product ``X[i] @ M`` bit for bit, whatever the block;
-    a 2-d block product rounds differently.
-    """
-    return np.matmul(X[:, None, :], M)[:, 0]
-
-
 def _model_off(A: np.ndarray, P: np.ndarray, matmul=np.matmul) -> np.ndarray:
     """Off probabilities of every row of P, shape (R, K).
 
     ``P @ A.T`` on the transposed view, as one 2-d product for a plain
-    block; with ``matmul=_rowwise`` (accelerated blocks) each row equals
-    the matrix-vector product ``A @ p`` bit for bit.
+    block; with ``matmul=np.vecmat`` (accelerated blocks), one
+    matrix-vector call per row, each row equals ``A @ p`` bit for bit.
     """
     return matmul(P, A.T)
 
@@ -223,6 +216,15 @@ def em_step(p: PhotonDistribution, data: OnOffDataset) -> PhotonDistribution:
     return PhotonDistribution(new[0])
 
 
+def _lstsq_rows(dR: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(dR[j], r[j], rcond=None)[0]`` of every row j in one
+    call, shape (R, m, 1): the same rcond, gelsd call and LinAlgError."""
+    def failed(err, flag):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    with np.errstate(call=failed, invalid="call"):
+        return _stacked_lstsq(dR, r[:, :, None], _EPS * max(dR.shape[1:]), signature="ddd->ddid")[0]
+
+
 class _Anderson:
     """Safeguarded Anderson extrapolation over the log-iterates of a block of
     records that share one truncation.
@@ -231,37 +233,37 @@ class _Anderson:
     Every row's arithmetic is that of the record solved alone, bit for bit,
     because the accept test compares log-likelihoods that often differ only
     by rounding.  So the matrix products (model off probabilities and the
-    extrapolation ``(dX + dR) @ gamma``) are stacked matmuls, one
-    matrix-vector call per row; each row's least-squares problem is its own
-    ``lstsq`` call; and the log-likelihood is a stacked dot only on rows
-    with no count at 0 or N, where it equals :func:`_binomial_ll`'s masked
-    dot.  The other rows take that masked dot itself.
+    extrapolation ``(dX + dR) @ gamma``) run one matrix-vector call per row;
+    all rows' least-squares problems go to one :func:`_lstsq_rows` call; and
+    the log-likelihood is a row-wise dot only on rows with no count at 0 or
+    N, where it equals :func:`_binomial_ll`'s masked dot.  The other rows
+    take that masked dot itself.
     """
 
     def __init__(self, A: np.ndarray, counts: np.ndarray, on: np.ndarray, P: np.ndarray):
         self.A, self.counts, self.on = A, counts, on
-        self.boundary = ((counts == 0) | (on == 0)).any(axis=1)
+        self.edge = np.flatnonzero(((counts == 0) | (on == 0)).any(axis=1)).tolist()
         self.log_p = np.log(P)
         self.prev_log_p = self.prev_r = None
-        # differences of the last passes per row, oldest first, in the first
-        # `m` columns (lstsq rounds by column order, so the order is fixed)
-        self.dx = np.empty(P.shape + (_ANDERSON_MEMORY,))
+        # differences of the last passes per row, oldest first, in the `m` columns
+        # from `start` (lstsq rounds by column order); shifted once per window
+        self.dx = np.empty(P.shape + (2 * _ANDERSON_MEMORY,))
         self.dr = np.empty_like(self.dx)
-        self.m = 0
+        self.start = self.m = 0
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop the rows that leave the block."""
-        for name in ("counts", "on", "boundary", "log_p", "prev_log_p", "prev_r", "dx", "dr"):
+        for name in ("counts", "on", "log_p", "prev_log_p", "prev_r", "dx", "dr"):
             setattr(self, name, getattr(self, name)[rows])
+        self.edge = np.flatnonzero(np.isin(np.flatnonzero(rows), self.edge)).tolist()
 
     def ll(self, P_off: np.ndarray) -> np.ndarray:
         """:func:`_binomial_ll` of every row.
 
         Called with divide-by-zero warnings off (an off probability of 1).
         """
-        ll = (np.matmul(self.counts[:, None, :], np.log(P_off)[:, :, None])[:, 0, 0]
-              + np.matmul(self.on[:, None, :], np.log1p(-P_off)[:, :, None])[:, 0, 0])
-        for j in np.flatnonzero(self.boundary).tolist():
+        ll = np.vecdot(self.counts, np.log(P_off)) + np.vecdot(self.on, np.log1p(-P_off))
+        for j in self.edge:
             ll[j] = _binomial_ll(self.counts[j], self.on[j], P_off[j])
         return ll
 
@@ -270,35 +272,41 @@ class _Anderson:
         keeps the log-likelihood of the plain update, else the plain update.
         A candidate whose model off probability underflows is rejected, and
         rows in ``skip`` (failed this pass) take the plain update unsolved."""
-        r = np.log(np.clip(bracket, _DIV_FLOOR, None))
+        r = np.log(np.maximum(bracket, _DIV_FLOOR))
         if self.prev_log_p is not None:
-            if self.m == _ANDERSON_MEMORY:
-                self.dx[..., :-1] = self.dx[..., 1:]
-                self.dr[..., :-1] = self.dr[..., 1:]
-            else:
+            if self.m < _ANDERSON_MEMORY:
                 self.m += 1
-            self.dx[..., self.m - 1] = self.log_p - self.prev_log_p
-            self.dr[..., self.m - 1] = r - self.prev_r
+            else:
+                self.start += 1
+            if self.start + self.m > self.dx.shape[-1]:  # at the end: the newest m - 1 go first
+                for h in (self.dx, self.dr):
+                    h[..., : self.m - 1] = h[..., self.start :]
+                self.start = 0
+            np.subtract(self.log_p, self.prev_log_p, out=self.dx[..., self.start + self.m - 1])
+            np.subtract(r, self.prev_r, out=self.dr[..., self.start + self.m - 1])
         self.prev_log_p, self.prev_r = self.log_p, r
         P, P_off, ll = plain, plain_off, self.ll(plain_off)
         if self.m:
-            dX, dR = self.dx[..., : self.m], self.dr[..., : self.m]
-            gamma = np.zeros((len(r), self.m))
-            for j in range(len(r)):
-                if j not in skip:
-                    gamma[j] = np.linalg.lstsq(dR[j], r[j], rcond=None)[0]
-            x_cand = np.clip(self.log_p + r - np.matmul(dX + dR, gamma[:, :, None])[:, :, 0],
-                             _LOG_FLOOR, 50.0)
+            dX, dR = (h[..., self.start : self.start + self.m] for h in (self.dx, self.dr))
+            gamma = np.zeros((len(r), self.m, 1)) if skip else _lstsq_rows(dR, r)
+            if skip:  # failed rows stay out of the solve, at gamma 0
+                rows = [j for j in range(len(r)) if j not in skip]
+                gamma[rows] = _lstsq_rows(dR[rows], r[rows])
+            x_cand = self.log_p + r - np.matmul(dX + dR, gamma)[:, :, 0]
+            np.minimum(np.maximum(x_cand, _LOG_FLOOR, out=x_cand), 50.0, out=x_cand)
             cand = np.exp(x_cand - x_cand.max(axis=1, keepdims=True))
             cand /= cand.sum(axis=1, keepdims=True)
-            cand = np.clip(cand, _DIV_FLOOR, None)
+            np.maximum(cand, _DIV_FLOOR, out=cand)
             cand /= cand.sum(axis=1, keepdims=True)
-            cand_off = _model_off(self.A, cand, _rowwise)
+            cand_off = _model_off(self.A, cand, np.vecmat)
             cand_ll = np.where(cand_off.min(axis=1) >= _DIV_FLOOR, self.ll(cand_off), -math.inf)
             take = cand_ll >= ll - _SAFEGUARD_SLACK * np.maximum(1.0, np.abs(ll))
-            P = np.where(take[:, None], cand, plain)
-            P_off = np.where(take[:, None], cand_off, plain_off)
-            ll = np.where(take, cand_ll, ll)
+            if take.all():
+                P, P_off, ll = cand, cand_off, cand_ll
+            elif take.any():
+                P = np.where(take[:, None], cand, plain)
+                P_off = np.where(take[:, None], cand_off, plain_off)
+                ll = np.where(take, cand_ll, ll)
         self.log_p = np.log(P)
         return P, P_off, ll
 
@@ -342,7 +350,7 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
     row has the same truncation and runs through :class:`_Anderson`, whose
     products are row-wise.
     """
-    matmul = _rowwise if cfg.accelerate else np.matmul
+    matmul = np.vecmat if cfg.accelerate else np.matmul
     A = _thinning_matrix(datasets[0].grid.etas, max(n_maxes))
     W = A / A.sum(axis=0, keepdims=True)
     sizes = np.array(n_maxes)[:, None] + 1

@@ -469,6 +469,37 @@ class TestExitCodes:
         cfg.write_text("{not json")
         assert main(["simulate", "--config", str(cfg)]) == 4
 
+    @pytest.mark.parametrize("seed", ["-3", str(2**64), "1.5", "abc"])
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_bad_seed_exits_before_any_work(self, tmp_path, capsys, monkeypatch, command, seed):
+        # the config's seed rule, 0 <= seed < 2**64, checked while parsing
+        from onofftomo import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --seed was checked")
+
+        monkeypatch.setattr(cli, "load_config", no_work)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        args = [command, "--config", str(cfg), "--seed", seed, "--out", str(tmp_path / "run")]
+        if command == "reconstruct":
+            args += ["--data", str(tmp_path / "dataset.json"), "--bootstrap", "3"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed" in err and "0 <= seed < 2**64" in err and repr(seed) in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_are_accepted(self, seed):
+        from onofftomo.cli import build_parser
+
+        for command in (["simulate"], ["reconstruct", "--exact"]):
+            args = build_parser().parse_args(command + ["--config", "c.json", "--seed", str(seed)])
+            assert args.seed == seed
+
     @pytest.mark.parametrize("replicas", ["1", "0", "-1"])
     def test_bootstrap_needs_two_replicas(self, tmp_path, capsys, replicas):
         cfg = tmp_path / "cfg.json"

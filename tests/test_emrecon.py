@@ -354,14 +354,16 @@ class TestBatch:
             assert _same_result(batch[i], reconstruct_pn(records[i], cfg))
         assert {r.iterations for r in batch if not isinstance(r, Exception)} == {100, 3000}
 
+    # (25, 34) is the oracle's tallest block; (4, 5) has 6 rows, so its
+    # least-squares problems are underdetermined from history width 7 on
     @pytest.mark.parametrize("k, n_max", [(25, 16), (25, 20), (25, 21), (25, 23), (25, 34), (4, 5)])
     def test_rowwise_products_match_one_record_products(self, k, n_max):
         # accelerated blocks are bit-identical to one-record solves only
-        # because every stacked product rounds as its 1-d counterpart; a
-        # numpy or BLAS change that breaks this must fail here, not by moving
-        # the pins above
+        # because every stacked product and solve rounds as its one-record
+        # counterpart; a numpy, BLAS or LAPACK change that breaks this must
+        # fail here, not by moving the pins above
         from onofftomo.detector import _thinning_matrix
-        from onofftomo.emrecon import _Anderson, _binomial_ll, _rowwise
+        from onofftomo.emrecon import _Anderson, _binomial_ll, _lstsq_rows
 
         rng = np.random.default_rng(k * 100 + n_max)
         A = _thinning_matrix(uniform_grid(0.67, k).etas, n_max)
@@ -372,17 +374,40 @@ class TestBatch:
         G = rng.normal(size=(16, 10))
         counts = rng.integers(1, 10**12, size=(16, k)).astype(float)
         on = 10.0**12 - counts
-        P_off = _rowwise(P, A.T)
+        P_off = np.vecmat(P, A.T)
         ll = _Anderson(A, counts, on, P).ll(P_off)
         stacked = np.matmul(S, G[:, :, None])[:, :, 0]
         message = ("row-wise stacked products no longer round as one-record products on this "
                    "numpy/BLAS: accelerated blocks would not reproduce one-record solves")
         for i in range(16):
             assert np.array_equal(P_off[i], A @ P[i]), message
-            assert np.array_equal(_rowwise(X, W)[i], X[i] @ W), message
+            assert np.array_equal(np.vecmat(X, W)[i], X[i] @ W), message
             assert np.array_equal(stacked[i], S[i] @ G[i]), message
             assert ll[i] == _binomial_ll(counts[i], on[i], P_off[i]), message
             assert np.array_equal(P.sum(axis=1)[i], P[i].sum()), message
+
+        # the stacked least-squares solve of every history width, on windows
+        # of a wider buffer as the Anderson step passes them: even rows carry
+        # a duplicated column (rank-deficient), rows 4j+1 a column that
+        # differs from another by 1e-12 relative, between lstsq's default
+        # rcond and a looser one
+        message = ("numpy's stacked lstsq gufunc no longer solves each row as np.linalg.lstsq "
+                   "does on this numpy/LAPACK: accelerated blocks would not reproduce "
+                   "one-record solves")
+        buffer = rng.normal(size=(16, n_max + 1, 20))
+        r = rng.normal(size=(16, n_max + 1))
+        for m in range(1, 11):
+            dR = buffer.copy()[..., 3 : 3 + m]
+            if m > 1:
+                dR[::2, :, -1] = dR[::2, :, 0]
+                dR[1::4, :, -1] = dR[1::4, :, 0] * (1 + 1e-12 * rng.normal(size=(4, n_max + 1)))
+            gamma = _lstsq_rows(dR, r)
+            assert gamma.shape == (16, m, 1)
+            for i in range(16):
+                one = np.linalg.lstsq(dR[i], r[i], rcond=None)[0]
+                assert np.array_equal(gamma[i, :, 0], one), message
+        with pytest.raises(np.linalg.LinAlgError):
+            _lstsq_rows(np.full((2, n_max + 1, 3), np.nan), r[:2])
 
     def test_empty_batch(self):
         assert reconstruct_pn_batch([], EMConfig(n_max=4, accelerate=False)) == []
