@@ -33,12 +33,17 @@ by rounding, so a 2-d block product, which rounds differently from the
 one-record matrix-vector product, would change which steps pass.  So their
 products run as one matrix-vector call per row, and one stacked ``lstsq``
 call solves each row's least-squares problem as ``np.linalg.lstsq`` would.
+No row's bits depend on the others, so on Linux an accelerated batch of
+several blocks is solved by two forked worker processes, each block cut into
+two row chunks; results and log records are made by the caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,8 +339,8 @@ def _result(p, iterations, converged, residual, prenorm, ll_hist) -> EMResult:
     )
 
 
-def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
-                 cfg: EMConfig) -> list[EMResult | IllConditionedError]:
+def _solve_rows(datasets: list[OnOffDataset], n_maxes: list[int],
+                cfg: EMConfig) -> list[tuple | IllConditionedError]:
     """EM on a block of records that share one efficiency grid.
 
     Row i holds record i's distribution over 0..n_maxes[i], zero-padded up to
@@ -345,10 +350,11 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
     Every row starts from the uniform distribution on its support and keeps
     its own stopping test, pre-normalization sum and likelihood history.  A
     row leaves the block when it converges, and also when its update mass
-    is not positive and finite or its model off probability underflows; its
-    result is then that IllConditionedError.  With ``cfg.accelerate`` every
-    row has the same truncation and runs through :class:`_Anderson`, whose
-    products are row-wise.
+    is not positive and finite or its model off probability underflows.
+    Each row's outcome is the arguments of :func:`_result`, or that
+    IllConditionedError.  With ``cfg.accelerate`` every row has the same
+    truncation and runs through :class:`_Anderson`, whose products are
+    row-wise.
     """
     matmul = np.vecmat if cfg.accelerate else np.matmul
     A = _thinning_matrix(datasets[0].grid.etas, max(n_maxes))
@@ -368,7 +374,7 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
     # needed, up to the max_iter + 1 iterates a row can have
     ll_hist = np.empty((min(cfg.max_iter, 1023) + 1, len(datasets)))
     live = np.arange(len(datasets))  # input index of each block row
-    results: list[EMResult | IllConditionedError | None] = [None] * len(datasets)
+    results: list[tuple | IllConditionedError | None] = [None] * len(datasets)
 
     # a failed row computes non-finite values until the end of its pass
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -400,9 +406,9 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
             keep[list(failed)] = False
             for j in np.flatnonzero(~keep):
                 i = live[j]
-                results[i] = failed[j] if j in failed else _result(
+                results[i] = failed[j] if j in failed else (
                     P[j, : n_maxes[i] + 1], it, bool(done[j]), residual[j], prenorm[j],
-                    ll_hist[: it + 1, i])
+                    ll_hist[: it + 1, i].copy())
             if not keep.any():
                 break
             P, P_off, F, counts, on, floor, live = (
@@ -410,6 +416,31 @@ def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int],
             if anderson is not None:
                 anderson.keep(keep)
     return results
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: a forked worker holds both ends of the pool's queues,
+    so it would wait forever after its parent is killed; SIGKILL it then."""
+    import ctypes
+    import signal
+
+    with contextlib.suppress(AttributeError):  # libc without prctl: not Linux
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent died before prctl
+        os._exit(1)
+
+
+def _solve_block(datasets: list[OnOffDataset], n_maxes: list[int], cfg: EMConfig, pool,
+                 w: int):
+    """The outcomes of :func:`_solve_rows` for a block, in row order; with a
+    pool, an iterator that waits for its workers to solve ``w`` strided row
+    chunks (rows j, j + w, ...).  A worker's LinAlgError is raised here.
+    """
+    if pool is None:
+        return _solve_rows(datasets, n_maxes, cfg)
+    w = min(w, len(datasets))
+    chunks = [pool.submit(_solve_rows, datasets[j::w], n_maxes[j::w], cfg) for j in range(w)]
+    return (chunks[i % w].result()[i // w] for i in range(len(datasets)))
 
 
 def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
@@ -424,10 +455,14 @@ def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
     diagnostics.  Accelerated records form one block per grid and
     truncation (Anderson works on log-iterates, so zero-padded rows cannot
     join); their products run row by row, so each result is bit-identical to
-    the record's one-record solve.  A record that stops at ``max_iter`` is
-    logged at INFO with its row in ``datasets``, amplitude and phase.  A
-    record whose iteration fails numerically gets its IllConditionedError in
-    place of a result; the other records are unaffected.
+    the record's one-record solve.  On Linux, when there are two or more
+    such blocks and the process's affinity mask holds two or more CPUs, two
+    forked workers solve them, each block cut into two strided row chunks,
+    tallest truncation first, with the same results.  A record that stops at
+    ``max_iter`` is logged at INFO with its row in ``datasets``, amplitude
+    and phase.  A record whose iteration fails numerically gets its
+    IllConditionedError in place of a result; the other records are
+    unaffected.
     """
     cfg = config or EMConfig()
     datasets = list(datasets)
@@ -437,15 +472,35 @@ def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
     for i, ds in enumerate(datasets):
         grid = ds.grid.etas.tobytes()
         blocks.setdefault((grid, n_max[i]) if cfg.accelerate else grid, []).append(i)
+    # At most two workers, the count that was measured.  A lone block stays in
+    # this process: each chunk repeats the fixed per-pass cost, which lost time
+    # there.  A daemonic process may not fork.
+    w = min(len(os.sched_getaffinity(0)), 2) if cfg.accelerate and hasattr(
+        os, "sched_getaffinity") else 1
+    order, pool = list(blocks), None
+    if w > 1 and len(blocks) > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if not multiprocessing.current_process().daemon:
+            order.sort(key=lambda key: -n_max[blocks[key][0]])  # tallest run longest
+            # forked, not spawned: a spawned worker would import numpy and this
+            # package again; a worker that dies raises BrokenProcessPool here
+            pool = ProcessPoolExecutor(w, multiprocessing.get_context("fork"),
+                                       initializer=_die_with_parent, initargs=(os.getpid(),))
     results: list = [None] * len(datasets)
-    for idx in blocks.values():
-        solved = _solve_block([datasets[i] for i in idx], [n_max[i] for i in idx], cfg)
-        for i, res in zip(idx, solved):
-            results[i] = res
-            if isinstance(res, EMResult) and not res.converged:
-                logger.info("EM hit max_iter=%d with residual %.3e (tol %.1e) on row %d "
-                            "(amp %.6g, phase %.6g)", cfg.max_iter, res.residual, cfg.tol, i,
-                            datasets[i].amp, datasets[i].phase)
+    with pool or contextlib.nullcontext():
+        solved = {key: _solve_block([datasets[i] for i in blocks[key]],
+                                    [n_max[i] for i in blocks[key]], cfg, pool, w)
+                  for key in order}
+        for key, idx in blocks.items():
+            for i, res in zip(idx, solved[key]):
+                if not isinstance(res, IllConditionedError):
+                    res = _result(*res)
+                    if not res.converged:
+                        logger.info("EM hit max_iter=%d with residual %.3e (tol %.1e) on row "
+                                    "%d (amp %.6g, phase %.6g)", cfg.max_iter, res.residual,
+                                    cfg.tol, i, datasets[i].amp, datasets[i].phase)
+                results[i] = res
     return results
 
 

@@ -641,7 +641,8 @@ class TestExitCodes:
 
 
 class TestStartup:
-    """The CLI starts on numpy alone; sampling above 10^5 shots loads only scipy.special."""
+    """The CLI starts on numpy alone; sampling above 10^5 shots loads only scipy.special,
+    and only accelerated batches of several blocks load multiprocessing."""
 
     SCRIPT = """
 import sys
@@ -683,3 +684,31 @@ for shots in (30000, 10**12):
         out = subprocess.run([sys.executable, "-c", self.SIMULATE], env=env, check=True,
                              capture_output=True, text=True).stdout.splitlines()
         assert out == ["[]"] + want
+
+    POOL = """
+import json, sys
+import onofftomo.cli
+print('multiprocessing' in sys.modules)
+doc = {"state": {"kind": "thermal", "n_th": 1.0}, "modulation": {"amps": [0.0, 0.5], "n_phases": 2},
+       "grid": {"k": 25, "eta_max": 0.67}, "shots": 30000, "seed": 1,
+       "em": {"tol": 1e-12, "max_iter": 50, "accelerate": False}, "targets": ["pn"],
+       "output": {"dir": sys.argv[1]}}
+cfg = sys.argv[1] + "/cfg.json"
+json.dump(doc, open(cfg, "w"))
+for args in (["simulate"], ["reconstruct", "--data", sys.argv[1] + "/dataset.json"]):
+    assert onofftomo.cli.main(args + ["--config", cfg]) == 0
+print('multiprocessing' in sys.modules)
+from onofftomo import EMConfig, reconstruct_pn
+from onofftomo.datafile import read_dataset_file
+reconstruct_pn(read_dataset_file(sys.argv[1] + "/dataset.json").datasets()[0], EMConfig(n_max=8, max_iter=50))
+print('multiprocessing' in sys.modules)
+"""
+
+    def test_plain_and_one_record_em_leave_multiprocessing_unloaded(self, tmp_path):
+        # only accelerated batches of two or more blocks fork workers
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", self.POOL, str(tmp_path)], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert out[0] == "False" and out[-2:] == ["False", "False"]

@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -456,6 +458,177 @@ class TestBatch:
         cfg = EMConfig(n_max=10, tol=1e-12, max_iter=3000, accelerate=False)
         with pytest.raises(IllConditionedError, match="underflowed"):
             reconstruct_pn(self._underflowing_record(), cfg)
+
+
+class TestWorkerPool:
+    """Accelerated batches of several blocks, each block split into two row
+    chunks and solved in two forked workers, give the results of the serial
+    solve."""
+
+    CFG = EMConfig(tol=1e-12, max_iter=600, accelerate=True)
+
+    @staticmethod
+    def _records():
+        # three blocks of five rows at n_max 2, 3 and 5; the underflowing
+        # record fails at n_max 2 and 5, most rows stop at max_iter
+        bad = TestBatch._underflowing_record()
+        counts = [[5, 3, 1, 0], [8, 6, 5, 4], [9, 8, 7, 6], [7, 5, 3, 2], [6, 4, 2, 1],
+                  [9, 7, 5, 3], [8, 5, 3, 2], [7, 6, 4, 3], [9, 9, 8, 7], [6, 5, 3, 2],
+                  [5, 3, 1, 0], [5, 4, 3, 2], [7, 4, 2, 1], [9, 8, 6, 5], [8, 6, 4, 2]]
+        records = [dataclasses.replace(bad, off_counts=np.array(c), amp=0.1 * i, phase=0.2 * i)
+                   for i, c in enumerate(counts)]
+        return records, [2, 5, 3] * 5
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    def _solve(self, monkeypatch, caplog, n_cpus):
+        self._cpus(monkeypatch, n_cpus)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="onofftomo.emrecon"):
+            records, n_max = self._records()
+            batch = reconstruct_pn_batch(records, self.CFG, n_max=n_max)
+        return batch, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+    def test_pooled_results_identical_to_serial(self, monkeypatch, caplog):
+        serial, serial_log = self._solve(monkeypatch, caplog, 1)
+        pooled, pooled_log = self._solve(monkeypatch, caplog, 2)
+        failed = [i for i, r in enumerate(serial) if isinstance(r, IllConditionedError)]
+        assert failed == [0, 10]
+        assert {r.converged for r in serial if not isinstance(r, Exception)} == {True, False}
+        for one, other in zip(serial, pooled):
+            if isinstance(one, Exception):
+                assert (type(other), str(other)) == (type(one), str(one))
+                continue
+            assert _same_result(other, one)
+            assert not other.distribution.probs.flags.writeable
+            assert not other.ll_history.flags.writeable
+        assert any("EM hit max_iter" in msg for _, level, msg in serial_log if level == logging.INFO)
+        assert pooled_log == serial_log
+
+    def _fail_in_workers(self, monkeypatch, fail):
+        from onofftomo import emrecon
+
+        parent, solve = os.getpid(), emrecon._lstsq_rows
+        monkeypatch.setattr(emrecon, "_lstsq_rows",
+                            lambda dR, r: fail() if os.getpid() != parent else solve(dR, r))
+        self._cpus(monkeypatch, 2)
+        return self._records()
+
+    def test_worker_linalg_error_reaches_the_caller(self, monkeypatch):
+        def fail():
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        records, n_max = self._fail_in_workers(monkeypatch, fail)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            reconstruct_pn_batch(records, self.CFG, n_max=n_max)
+
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        records, n_max = self._fail_in_workers(monkeypatch, lambda: os._exit(1))
+        with pytest.raises(BrokenProcessPool):
+            reconstruct_pn_batch(records, self.CFG, n_max=n_max)
+
+    def test_two_workers_and_only_for_several_blocks(self, monkeypatch):
+        import concurrent.futures
+
+        made = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                made.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        self._cpus(monkeypatch, 8)
+        records, n_max = self._records()
+        reconstruct_pn_batch(records, self.CFG, n_max=n_max)
+        assert made == [2]
+        # one block (every row at n_max 3) is solved in this process
+        reconstruct_pn_batch(records[2::3], self.CFG, n_max=n_max[2::3])
+        assert made == [2]
+
+    def test_daemonic_caller_solves_in_process(self, monkeypatch, caplog):
+        # a daemonic process may not fork workers of its own
+        import multiprocessing
+
+        serial, _ = self._solve(monkeypatch, caplog, 1)
+        self._cpus(monkeypatch, 2)
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def run():
+            records, n_max = self._records()
+            try:
+                send.send(reconstruct_pn_batch(records, self.CFG, n_max=n_max))
+            except BaseException as exc:
+                send.send(exc)
+
+        daemon = ctx.Process(target=run, daemon=True)
+        daemon.start()
+        assert recv.poll(60)
+        got = recv.recv()
+        daemon.join()
+        assert isinstance(got, list), got
+        for one, other in zip(serial, got, strict=True):
+            if isinstance(one, Exception):
+                assert str(other) == str(one)
+            else:
+                assert _same_result(other, one)
+
+    KILLED = """
+import os, sys, time
+import numpy as np
+from onofftomo import EMConfig, OnOffDataset, reconstruct_pn_batch, uniform_grid
+from onofftomo import emrecon
+
+def stall(*args):
+    os.write(1, b"%d\\n" % os.getpid())  # one write, so the two workers' lines stay whole
+    time.sleep(120)
+
+emrecon._solve_rows = stall
+os.sched_getaffinity = lambda pid: {0, 1}
+record = OnOffDataset(grid=uniform_grid(1.0, 4), shots=10, off_counts=np.array([8, 6, 5, 4]),
+                      amp=0.0, phase=0.0)
+reconstruct_pn_batch([record] * 4, EMConfig(accelerate=True), n_max=[2, 2, 3, 3])
+"""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_end_with_a_killed_caller(self, tmp_path):
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        caller = subprocess.Popen([sys.executable, "-c", self.KILLED], env=env, cwd=tmp_path,
+                                  stdout=subprocess.PIPE, text=True)
+        workers = set()
+        try:
+            workers.update(int(caller.stdout.readline()) for _ in range(2))
+            assert len(workers) == 2 and all(map(running, workers))
+            caller.send_signal(signal.SIGKILL)
+            caller.wait()
+            deadline = time.monotonic() + 20
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers))
+        finally:
+            caller.kill()
+            caller.stdout.close()
+            for pid in filter(running, workers):
+                os.kill(pid, signal.SIGKILL)
 
 
 # SHA-256 of dataset.json written by `simulate` for the README example config
