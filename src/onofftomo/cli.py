@@ -41,12 +41,11 @@ from .datafile import (
     dumps_canonical,
     read_csv,
     read_dataset_file,
-    uniform_phases_or_error,
     write_csv,
     write_dataset_file,
     write_text_atomic,
 )
-from .detector import ModulationSpec, simulate_dataset, uniform_grid
+from .detector import ModulationSpec, simulate_dataset, uniform_grid, uniform_phases
 from .emrecon import EMConfig, default_truncation, reconstruct_pn_batch
 from .emrecon import reconstruct_pn  # noqa: F401  (perfbench/tracer.py patches it here)
 from .errors import ConfigError, ReconstructionError, TruncationError
@@ -60,7 +59,10 @@ from .fock import (
     make_thermal,
 )
 from .inversion import (
-    _check_inversion,
+    DEFAULT_RESIDUAL_BOUND,
+    DEFAULT_S_MAX,
+    DEFAULT_SVD_CUTOFF,
+    check_dm_input,
     conventional_wigner_value,
     reconstruct_density_matrix,
     wigner_map_from_data,
@@ -171,13 +173,11 @@ class RunConfig:
         accelerate = em_doc.get("accelerate", True)
         if not isinstance(accelerate, bool):
             raise ConfigError(f"em.accelerate must be true or false, got {accelerate!r}")
+        em_n_max = _number(int, em_doc.get("n_max"), "em.n_max", optional=True)
+        tol = _number(float, em_doc.get("tol", 1e-9), "em.tol")
+        max_iter = _number(int, em_doc.get("max_iter", 100000), "em.max_iter")
         try:
-            em = EMConfig(
-                n_max=_number(int, em_doc.get("n_max"), "n_max", optional=True),
-                tol=_number(float, em_doc.get("tol", 1e-9), "tol"),
-                max_iter=_number(int, em_doc.get("max_iter", 100000), "max_iter"),
-                accelerate=accelerate,
-            )
+            em = EMConfig(n_max=em_n_max, tol=tol, max_iter=max_iter, accelerate=accelerate)
         except ValueError as err:
             raise ConfigError(f"em: {err}") from err
 
@@ -188,10 +188,11 @@ class RunConfig:
 
         dm_doc = doc.get("dm", {})
         _check_keys(dm_doc, {"s_max", "m_max", "svd_cutoff", "residual_bound"}, "dm")
-        s_max = _number(int, dm_doc.get("s_max", 2), "dm.s_max", low=0)
+        s_max = _number(int, dm_doc.get("s_max", DEFAULT_S_MAX), "dm.s_max", low=0)
         m_max = _number(int, dm_doc.get("m_max"), "dm.m_max", low=0, optional=True)
-        svd_cutoff = _number(float, dm_doc.get("svd_cutoff", 1e-8), "dm.svd_cutoff")
-        residual_bound = _number(float, dm_doc.get("residual_bound", 0.05), "dm.residual_bound")
+        svd_cutoff = _number(float, dm_doc.get("svd_cutoff", DEFAULT_SVD_CUTOFF), "dm.svd_cutoff")
+        residual_bound = _number(float, dm_doc.get("residual_bound", DEFAULT_RESIDUAL_BOUND),
+                                 "dm.residual_bound")
         if not (0 < svd_cutoff < 1):
             raise ConfigError("dm.svd_cutoff must lie in (0, 1)")
 
@@ -267,7 +268,7 @@ def cmd_simulate(args) -> int:
         state=cfg.state,
         truncation=trunc,
         amps=cfg.amps,
-        phases=tuple(2.0 * math.pi * np.arange(cfg.n_phases) / cfg.n_phases),
+        phases=tuple(uniform_phases(cfg.n_phases)),
         grid=grid,
         counts=counts,
     )
@@ -312,19 +313,18 @@ def cmd_reconstruct(args) -> int:
     # learns its truncation per distribution
     if args.exact:
         rho, _ = build_state(cfg.state)
-        phases = list(2.0 * math.pi * np.arange(cfg.n_phases) / cfg.n_phases)
+        phases = list(uniform_phases(cfg.n_phases))
         groups = {amp: (phases, None, None) for amp in cfg.amps}
-        # exact distributions grow to the rows a dm fit needs
-        dm_rows = cfg.s_max + (cfg.m_max or 0) if "dm" in cfg.targets else 0
     else:
         groups = {amp: ([ds.phase for ds in datasets], datasets,
                         cfg.em.n_max or max(default_truncation(ds) for ds in datasets))
                   for amp, datasets in read_dataset_file(args.data).by_amp().items()}
+    dm_rows = 0  # exact distributions grow to the rows a dm fit needs
     if "dm" in cfg.targets:
         # a dm input that no data can rescue fails before any EM runs
         for amp, (phases, _, n_bar) in groups.items():
             try:
-                _check_inversion(amp, cfg.s_max, cfg.m_max, n_bar, uniform_phases_or_error(phases))
+                dm_rows = check_dm_input(amp, cfg.s_max, cfg.m_max, n_bar, phases)
             except ValueError as err:
                 raise ConfigError(f"dm at amp {amp!r}: {err}") from err
     if not args.exact:
@@ -374,13 +374,13 @@ def cmd_reconstruct(args) -> int:
             except ReconstructionError as err:
                 record_failure(amp, "dm", err)
             else:
-                diagnostics["dm"][repr(amp)] = [{"s": f.s, "condition": f.condition,
+                diagnostics["dm"][repr(amp)] = [{"s": f.s, "condition": f.kernel.condition,
                                                  "residual": f.residual, "reliable": f.reliable}
                                                 for f in res.fits]
-                readouts["dm"] = dm_readout(amp, cfg.s_max, cfg.m_max, cfg.svd_cutoff)
+                readouts["dm"] = dm_readout([f.kernel for f in res.fits])
 
-        # one bootstrap for every standing target; a dm read-out fails only
-        # where the point estimate's did, so all targets share its failed replicas
+        # one bootstrap for every standing target; the dm read-out applies the
+        # point estimate's kernels, so all targets share its failed replicas
         stderr = {}
         if args.bootstrap and readouts:
             pipeline = EMPipeline(dataclasses.replace(cfg.em, n_max=n_bar),
@@ -407,7 +407,7 @@ def cmd_reconstruct(args) -> int:
         if "dm" in readouts:
             rows["dm"] += [
                 (amp, f.s, m + f.s, m, v.real, v.imag, stderr.get(dm_tag(m + f.s, m)),
-                 f.condition, f.residual, f.reliable)
+                 f.kernel.condition, f.residual, f.reliable)
                 for f in res.fits for m, v in enumerate(f.values)
             ]
 
@@ -581,7 +581,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except ReconstructionError as err:
+    except (ReconstructionError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except ValueError as err:

@@ -21,15 +21,12 @@ value always serializes to the same bytes.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import EfficiencyGrid, OnOffDataset
-
-_TWO_PI = 2.0 * math.pi
 
 
 def as_int(value, where: str) -> int:
@@ -166,19 +163,6 @@ def read_dataset_file(path: str) -> DatasetBundle:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return DatasetBundle.from_document(doc)
-
-
-def uniform_phases_or_error(phases) -> int:
-    """Check phi_l = 2*pi*(l-1)/N and return N (the inversion requires it)."""
-    phases = np.asarray(phases, dtype=float)
-    n = phases.size
-    expected = _TWO_PI * np.arange(n) / n
-    if not np.allclose(phases, expected, atol=1e-12):
-        raise ValueError(
-            "density-matrix inversion needs the uniform phase grid "
-            "phi_l = 2*pi*(l-1)/N_phi"
-        )
-    return n
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

@@ -47,6 +47,11 @@ DEFAULT_GRID_SIZE = 25
 _TWO_PI = 2.0 * math.pi
 
 
+def uniform_phases(n: int) -> np.ndarray:
+    """phi_l = 2*pi*(l-1)/N for l = 1..N, the grid that makes the phase average a DFT."""
+    return _TWO_PI * np.arange(n) / n
+
+
 @dataclass(frozen=True)
 class EfficiencyGrid:
     """Strictly increasing detector efficiencies eta_k in [0, 1], K >= 2."""
@@ -94,10 +99,8 @@ class ModulationSpec:
 
     @classmethod
     def uniform(cls, amp: float, n_phases: int) -> "ModulationSpec":
-        """phi_l = 2*pi*(l-1)/N_phi — the grid that makes the phase average a DFT."""
-        if n_phases < 1:
-            raise ValueError("n_phases must be >= 1")
-        return cls(amp=amp, phases=_TWO_PI * np.arange(n_phases) / n_phases)
+        """The :func:`uniform_phases` grid at modulus ``amp``."""
+        return cls(amp=amp, phases=uniform_phases(n_phases))
 
     @property
     def n_phases(self) -> int:

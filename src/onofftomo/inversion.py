@@ -5,7 +5,8 @@ Two read-outs of the same inputs p_n(|alpha| e^(i phi)):
 * parity sum  W(alpha) = sum_n (-1)^n p_n(alpha), the phase-space quasi
   probability in the parity convention (|W| <= 1);
 * phase Fourier transform at harmonic s followed by a least-squares kernel
-  inversion, recovering the subdiagonal <m+s|rho|m>.
+  inversion, recovering the subdiagonal <m+s|rho|m>.  The kernel never
+  depends on the data, so each fit keeps it for bootstrap replicas to apply.
 
 Convention notes: the implemented parity value equals (pi/2) times the
 conventional Wigner function evaluated at -alpha; the sign is irrelevant for
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, RankDeficiencyError, TruncationError
+from .detector import uniform_phases
+from .errors import AliasingError, IllConditionedError, RankDeficiencyError, TruncationError
 from .fock import (
     FockDensityMatrix,
     PhotonDistribution,
@@ -132,36 +134,37 @@ def phase_fourier(dists, s: int) -> np.ndarray:
     n_phi = len(probs)
     if n_phi < 1:
         raise ValueError("need at least one distribution")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    sizes = {p.size for p in probs}
-    if len(sizes) != 1:
+    phases = uniform_phases(n_phi)
+    check_dm_input(None, s, None, phases=phases)
+    if len({p.size for p in probs}) != 1:
         raise ValueError("all distributions must share the same truncation")
-    if n_phi <= 2 * s:
-        raise AliasingError(
-            f"N_phi={n_phi} cannot resolve harmonic s={s} (need N_phi > 2s)"
-        )
-    stack = np.stack(probs)
-    phases = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    return np.exp(1j * s * phases) @ stack / n_phi
+    return np.exp(1j * s * phases) @ np.stack(probs) / n_phi
 
 
-def _check_inversion(amp: float, s: int, m_max: int | None, n_max: int | None,
-                     n_phi: int | None = None) -> None:
-    """The rules an inversion up to harmonic s needs, checked before any work.
+def check_dm_input(amp: float | None, s_max: int, m_max: int | None,
+                   n_max: int | None = None, phases=None) -> int:
+    """The rules an inversion up to harmonic s_max needs, checked before any work.
 
-    ``m_max`` None stands for the automatic range (m >= 0); ``n_max`` or
-    ``n_phi`` None skips the rules that need them.
+    ``phases`` must be the :func:`~onofftomo.detector.uniform_phases` grid,
+    with more than 2 s_max points.  ``m_max`` None stands for the automatic
+    range (m >= 0); ``amp``, ``n_max`` or ``phases`` None skips the rules
+    that need them.  Returns the smallest truncation n_max the inversion needs.
     """
-    need = s + (m_max or 0)
-    if s < 0:
+    phases = None if phases is None else np.asarray(phases, dtype=float)
+    if phases is not None and not np.allclose(phases, uniform_phases(phases.size), atol=1e-12):
+        raise ValueError("density-matrix inversion needs the uniform phase grid "
+                         "phi_l = 2*pi*(l-1)/N_phi")
+    need = s_max + (m_max or 0)
+    if s_max < 0:
         raise ValueError("s must be >= 0")
     if n_max is not None and n_max < need:
         raise ValueError(f"distribution truncation n_max={n_max} too small for m_max + s = {need}")
-    if n_phi is not None and n_phi <= 2 * s:
-        raise AliasingError(f"N_phi={n_phi} cannot resolve harmonic s={s} (need N_phi > 2s)")
-    if s > 0 and amp == 0:
+    if phases is not None and phases.size <= 2 * s_max:
+        raise AliasingError(
+            f"N_phi={phases.size} cannot resolve harmonic s={s_max} (need N_phi > 2s)")
+    if s_max > 0 and amp == 0:
         raise ValueError("zero displacement carries no off-diagonal information")
+    return need
 
 
 @dataclass(frozen=True)
@@ -185,11 +188,8 @@ class KernelInverse:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "forward", _freeze(np.asarray(self.forward, float)))
-        object.__setattr__(self, "inverse", _freeze(np.asarray(self.inverse, float)))
-        object.__setattr__(
-            self, "singular_values", _freeze(np.asarray(self.singular_values, float))
-        )
+        for name in ("forward", "inverse", "singular_values"):
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), float)))
 
     def apply(self, ptilde: np.ndarray) -> np.ndarray:
         """Least-squares solve for the subdiagonal coefficients."""
@@ -204,44 +204,55 @@ def build_kernel(
     s: int,
     amp: float,
     n_max: int,
-    m_max: int,
+    m_max: int | None = None,
     *,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> KernelInverse:
     """Assemble G^(s) and its pseudo-inverse for subdiagonal order s.
 
     Requires a real amp, amp > 0 when s > 0 (zero displacement carries no
-    off-diagonal information) and n_max >= m_max + s.
+    off-diagonal information) and n_max >= m_max + s.  ``m_max`` None fits
+    the widest range the kernel rank supports, shrinking m from n_max - s.
 
     Raises:
         RankDeficiencyError: if fewer than m_max + 1 singular values survive
-            the relative cutoff; the error names the largest safe m.
+            the relative cutoff (for None, if none does); the error names the
+            largest safe m.
+        IllConditionedError: if the SVD does not converge.
     """
     if complex(amp).imag != 0:
         raise ValueError("kernel displacement must have real amplitude")
-    if m_max < 0:
+    if m_max is not None and m_max < 0:
         raise ValueError("m_max must be >= 0")
     if amp < 0 or not math.isfinite(amp):
         raise ValueError("amp must be finite and >= 0")
-    _check_inversion(amp, s, m_max, n_max)
+    check_dm_input(amp, s, m_max, n_max)
     d = displacement_matrix(amp, n_max + 1).real
-    G = d[:, s : m_max + s + 1] * d[:, : m_max + 1]
-    u, sg, vt = np.linalg.svd(G, full_matrices=False)
-    keep = sg > svd_cutoff * sg[0]
-    n_keep = int(keep.sum())
-    if n_keep < m_max + 1:
-        raise RankDeficiencyError(
-            f"kernel rank {n_keep} below requested m_max + 1 = {m_max + 1}; "
-            f"largest safely recoverable m is {n_keep - 1}",
-            largest_safe_m=n_keep - 1,
-        )
+    m = n_max - s if m_max is None else m_max
+    while True:
+        G = d[:, s : m + s + 1] * d[:, : m + 1]
+        try:
+            u, sg, vt = np.linalg.svd(G, full_matrices=False)
+        except np.linalg.LinAlgError as err:
+            raise IllConditionedError(f"kernel SVD at s={s}, m_max={m}: {err}") from err
+        keep = sg > svd_cutoff * sg[0]
+        n_keep = int(keep.sum())
+        if n_keep == m + 1:
+            break
+        if m_max is not None or n_keep == 0:
+            raise RankDeficiencyError(
+                f"kernel rank {n_keep} below requested m_max + 1 = {m + 1}; "
+                f"largest safely recoverable m is {n_keep - 1}",
+                largest_safe_m=n_keep - 1,
+            )
+        m = n_keep - 1
     F = (vt[keep].T / sg[keep]) @ u[:, keep].T
     condition = float(sg[keep][0] / sg[keep][-1])
     return KernelInverse(
         s=s,
         amp=amp,
         n_max=n_max,
-        m_max=m_max,
+        m_max=m,
         forward=G,
         inverse=F,
         condition=condition,
@@ -251,16 +262,19 @@ def build_kernel(
 
 @dataclass(frozen=True)
 class SubdiagonalFit:
-    """Recovered <m+s|rho|m> for one harmonic, with inversion diagnostics."""
+    """Recovered <m+s|rho|m> for one harmonic, with the kernel that gave it."""
 
-    s: int
+    kernel: KernelInverse
     values: np.ndarray
-    condition: float
     residual: float
     reliable: bool
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(np.asarray(self.values, complex)))
+
+    @property
+    def s(self) -> int:
+        return self.kernel.s
 
 
 @dataclass(frozen=True)
@@ -321,7 +335,7 @@ def reconstruct_density_matrix(
             all truncated at the same n_max with n_max >= m_max + s_max.
         amp: displacement modulus shared by all phases.
         m_max: largest recovered index m.  None fits the widest range the
-            kernel rank supports (up to n_max - s per harmonic); the fit must
+            kernel rank supports (see :func:`build_kernel`); the fit must
             span the state's support, or truncating the model columns biases
             the low-m elements.  An explicit m_max beyond the kernel rank
             raises RankDeficiencyError.
@@ -332,29 +346,13 @@ def reconstruct_density_matrix(
     if not dists:
         raise ValueError("need at least one distribution")
     n_max = dists[0].n_max
-    _check_inversion(amp, s_max, m_max, n_max, len(dists))
-    auto_m = m_max is None
+    check_dm_input(amp, s_max, m_max, n_max, uniform_phases(len(dists)))
     fits = []
     for s in range(s_max + 1):
+        kern = build_kernel(s, amp, n_max, m_max, svd_cutoff=svd_cutoff)
         ptilde = phase_fourier(dists, s)
-        target = n_max - s if auto_m else m_max
-        while True:
-            try:
-                kern = build_kernel(s, amp, n_max, target, svd_cutoff=svd_cutoff)
-                break
-            except RankDeficiencyError as err:
-                if not auto_m or err.largest_safe_m < 0:
-                    raise
-                target = err.largest_safe_m
         coeffs = kern.apply(ptilde)
         resid = kern.residual(ptilde, coeffs)
-        fits.append(
-            SubdiagonalFit(
-                s=s,
-                values=coeffs,
-                condition=kern.condition,
-                residual=resid,
-                reliable=resid <= residual_bound,
-            )
-        )
+        fits.append(SubdiagonalFit(kernel=kern, values=coeffs, residual=resid,
+                                   reliable=resid <= residual_bound))
     return DensityMatrixResult(amp=amp, fits=tuple(fits))

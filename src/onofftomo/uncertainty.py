@@ -8,9 +8,10 @@ results exactly.
 
 Both targets are read-outs of the same displaced photon-number
 distributions: :func:`wigner_readout` takes their parities and
-:func:`dm_readout` inverts their phase harmonics.  An :class:`EMPipeline`
-holds an EM configuration and any number of read-outs, so one bootstrap
-solves each replica's EM once and reads it out for every target.
+:func:`dm_readout` inverts their phase harmonics through the point
+estimate's kernels.  An :class:`EMPipeline` holds an EM configuration and
+any number of read-outs, so one bootstrap solves each replica's EM once and
+reads it out for every target.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from .emrecon import reconstruct_pn  # noqa: F401  (perfbench/tracer.py patches 
 from .errors import BootstrapError, ReconstructionError
 from .fock import FockDensityMatrix, _freeze
 from .inversion import (
-    DEFAULT_SVD_CUTOFF,
     DensityMatrixResult,
-    reconstruct_density_matrix,
+    build_kernel,
+    check_dm_input,
+    phase_fourier,
     wigner_map_from_data,
 )
+from .inversion import reconstruct_density_matrix  # noqa: F401  (perfbench/tracer.py patches it here)
 
 logger = logging.getLogger(__name__)
 
@@ -71,25 +74,19 @@ def wigner_readout(datasets, dists) -> dict:
     return {wigner_tag(ds.amp, ds.phase): pt.value for ds, pt in zip(datasets, wmap.points)}
 
 
-def dm_readout(
-    amp: float, s_max: int, m_max: int | None, svd_cutoff: float = DEFAULT_SVD_CUTOFF
-) -> Callable[[list, list], dict]:
-    """Phase Fourier + kernel inversion -> lower-triangle element table.
+def dm_readout(kernels) -> Callable[[list, list], dict]:
+    """Phase Fourier + one given kernel per harmonic -> lower-triangle
+    element table.
 
     The distributions must be the phase records of a single amplitude,
-    ordered by phase, on one shared truncation.  ``m_max`` (None fits the
-    widest range the kernel rank supports) and ``svd_cutoff`` go to
-    :func:`reconstruct_density_matrix` as given, so with the point
-    estimate's values every replica runs the point estimate's estimator.
-    The kernel depends on the inputs here and the truncation alone, so a
-    replica's read-out fails only where the point estimate's did.
+    ordered by phase, on the kernels' truncation.  Given the point
+    estimate's kernels (``[f.kernel for f in result.fits]``), every replica
+    applies the point estimate's inversion and builds no kernel.
     """
 
     def readout(_datasets, dists):
-        result = reconstruct_density_matrix(
-            dists, amp, s_max=s_max, m_max=m_max, svd_cutoff=svd_cutoff
-        )
-        return {dm_tag(n, m): v for (n, m), v in result.items() if n >= m}
+        return {dm_tag(m + k.s, m): complex(v) for k in kernels
+                for m, v in enumerate(k.apply(phase_fourier(dists, k.s)))}
 
     return readout
 
@@ -125,13 +122,15 @@ def wigner_pipeline(em_config: EMConfig | None = None) -> EMPipeline:
 
 
 def dm_pipeline(amp: float, s_max: int, m_max: int | None, em_config: EMConfig) -> EMPipeline:
-    """EM per phase -> :func:`dm_readout`.
+    """EM per phase -> :func:`dm_readout` of kernels built once here.
 
     The EM truncation must be pinned in ``em_config`` so every phase shares it.
     """
     if em_config.n_max is None:
         raise ValueError("dm_pipeline needs a fixed em_config.n_max")
-    return EMPipeline(em_config, (dm_readout(amp, s_max, m_max),))
+    check_dm_input(amp, s_max, m_max, em_config.n_max)
+    kernels = [build_kernel(s, amp, em_config.n_max, m_max) for s in range(s_max + 1)]
+    return EMPipeline(em_config, (dm_readout(kernels),))
 
 
 def _resample(ds: OnOffDataset, seed: int, replica: int, record: int) -> OnOffDataset:

@@ -66,6 +66,13 @@ class TestSimulate:
             assert np.all(counts <= 30000)
 
 
+    def test_explicit_state_truncation_is_recorded(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, state={"kind": "thermal", "n_th": 0.5, "n_max": 25})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert read_dataset_file(str(tmp_path / "out" / "dataset.json")).truncation == 25
+
+
 class TestReconstruct:
     def test_vacuum_wigner_with_bootstrap(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -281,6 +288,72 @@ class TestReconstruct:
         assert diag["bootstrap"]["outcomes"] == [
             {"amp": 0.1, "target": "dm", "succeeded": 3, "failed": 0}
         ]
+
+    def test_replicas_apply_the_point_estimate_kernels(self, tmp_path, monkeypatch):
+        # one kernel per harmonic, built for the point estimate and applied
+        # to every replica
+        from onofftomo import inversion
+
+        built = []
+        build = inversion.build_kernel
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(inversion, "build_kernel", counting)
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "coherent", "z": 1.0},
+            modulation={"amps": [0.3], "n_phases": 4},
+            shots=5000,
+            targets=["dm"],
+            dm={"s_max": 1, "m_max": None},
+            em={"n_max": 8, "tol": 1e-12, "max_iter": 300, "accelerate": False},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "3"]) == 0
+        assert built == [0, 1]
+        header, rows = read_csv(str(tmp_path / "out" / "dm.csv"))
+        assert rows and all(r[header.index("stderr")] for r in rows)
+
+    def test_conventional_wigner_column(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, state={"kind": "coherent", "z": 0.8},
+                     modulation={"amps": [0.0, 0.5, 1.0], "n_phases": 2})
+        assert main(["reconstruct", "--config", str(cfg), "--exact", "--conventional-wigner"]) == 0
+        header, rows = read_csv(str(tmp_path / "out" / "wigner.csv"))
+        assert header[-1] == "conventional" and len(rows) == 6
+        for row in rows:
+            wigner = float(row[header.index("wigner")])
+            assert float(row[header.index("conventional")]) == (2.0 / math.pi) * wigner
+
+    def test_one_amplitude_em_failure_keeps_the_others(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            modulation={"amps": [0.0, 0.5], "n_phases": 1},
+            grid={"k": 4, "eta_max": 1.0},
+            shots=10,
+            targets=["pn", "wigner"],
+            em={"n_max": 10, "tol": 1e-12, "max_iter": 3000, "accelerate": False},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = tmp_path / "out" / "dataset.json"
+        doc = json.loads(data.read_text())
+        for rec in doc["records"]:
+            if rec["amp_index"] == 2:
+                rec["off_counts"] = [5, 3, 1, 0]
+        data.write_text(json.dumps(doc))
+        assert main(["reconstruct", "--config", str(cfg), "--data", str(data)]) == 3
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert [{k: f[k] for k in ("amp", "target")} for f in diag["failures"]] == [
+            {"amp": 0.5, "target": "em"}]
+        for name, count in (("pn.csv", 11), ("wigner.csv", 1)):
+            header, rows = read_csv(str(tmp_path / "out" / name))
+            assert len(rows) == count and {r[header.index("amp")] for r in rows} == {"0.0"}
 
     def test_wigner_row_per_record_at_shared_alpha(self, tmp_path):
         # at amp 0 every phase record has alpha 0; each still gets its own row,
@@ -606,6 +679,58 @@ class TestExitCodes:
         assert os.listdir(rec) == []
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [("n_max", "8"), ("tol", True), ("max_iter", 1.5)])
+    def test_em_field_errors_name_the_section(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, em={field: value})
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: em.{field} must be ")
+
+    def test_kernel_svd_failure_fails_only_dm(self, tmp_path, monkeypatch):
+        # LAPACK's LinAlgError is a ValueError; a kernel's becomes a per-target
+        # numerical failure, so the wigner rows are still written
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "coherent", "z": 0.8},
+            modulation={"amps": [0.2], "n_phases": 4},
+            targets=["dm", "wigner"],
+            dm={"s_max": 1, "m_max": 3},
+            em={"n_max": 8, "tol": 1e-8, "max_iter": 300, "accelerate": False},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data]) == 3
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert [f["target"] for f in diag["failures"]] == ["dm"]
+        assert "did not converge" in diag["failures"][0]["error"]
+        _, rows = read_csv(str(tmp_path / "out" / "wigner.csv"))
+        assert len(rows) == 4
+
+    def test_em_linalg_error_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        from onofftomo import emrecon
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(emrecon, "_lstsq_rows", no_convergence)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, state={"kind": "coherent", "z": 1.0},
+                     modulation={"amps": [0.5], "n_phases": 1},
+                     em={"n_max": 10, "tol": 1e-12, "max_iter": 500, "accelerate": True})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: SVD did not converge in Linear Least Squares\n")
 
     def test_log_level_info_shows_max_iter(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

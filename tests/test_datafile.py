@@ -11,7 +11,6 @@ from onofftomo.datafile import (
     DatasetBundle,
     dumps_canonical,
     read_dataset_file,
-    uniform_phases_or_error,
     write_dataset_file,
 )
 
@@ -131,13 +130,3 @@ class TestSchema:
         doc["records"][0]["off_counts"][0] = 1.5
         with pytest.raises(ValueError, match="integers"):
             DatasetBundle.from_document(doc).datasets()
-
-
-class TestUniformPhases:
-    def test_accepts_uniform(self):
-        phases = [2 * math.pi * l / 12 for l in range(12)]
-        assert uniform_phases_or_error(phases) == 12
-
-    def test_rejects_non_uniform(self):
-        with pytest.raises(ValueError):
-            uniform_phases_or_error([0.0, 1.0, 2.0])

@@ -68,6 +68,21 @@ class TestDisplacementMatrix:
         for n, m in [(80, 80), (60, 62), (0, 80), (120, 40), (150, 150)]:
             assert mat[n, m] == pytest.approx(displacement_element(n, m, a), abs=1e-12)
 
+    @pytest.mark.parametrize("a, dim, entries", [
+        # at dim 450 the recurrence of the widest offsets passes the rescale
+        # threshold; (1000, 550) at |alpha| 8 is a rescaled element of order 1e-2
+        (1.0, 450, [(449, 449), (225, 224), (300, 200), (100, 90), (0, 449)]),
+        (8.0, 1001, [(1000, 550), (990, 540), (950, 500), (450, 1000)]),
+    ])
+    def test_rescaled_recurrence_matches_scalar_elements(self, a, dim, entries):
+        mat = displacement_matrix(a, dim)
+        for n, m in entries:
+            assert mat[n, m] == pytest.approx(displacement_element(n, m, a), rel=1e-12, abs=1e-300)
+        assert max(abs(mat[n, m]) for n, m in entries) > 1e-3
+        gram = mat @ mat.conj().T
+        lead = dim // 3
+        assert np.abs(gram[:lead, :lead] - np.eye(lead)).max() < 1e-12
+
     def test_zero_is_identity(self):
         assert np.array_equal(displacement_matrix(0.0, 9), np.eye(9))
 

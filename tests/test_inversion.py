@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from onofftomo import (
     AliasingError,
+    IllConditionedError,
     PhotonDistribution,
     RankDeficiencyError,
     TruncationError,
@@ -25,6 +26,8 @@ from onofftomo import (
     wigner_map_exact,
     wigner_map_from_data,
 )
+from onofftomo.detector import uniform_phases
+from onofftomo.inversion import check_dm_input
 from conftest import (
     geometric_pmf,
     wigner_phase_averaged,
@@ -193,6 +196,27 @@ class TestKernel:
             build_kernel(0, 1.0, 20, 15, svd_cutoff=0.5)
         assert 0 <= err.value.largest_safe_m < 15
 
+    @pytest.mark.parametrize("amp, n_max, s, m", [
+        (4.0, 40, 0, 37), (4.0, 40, 1, 37), (6.0, 12, 0, 3), (6.0, 12, 1, 3), (6.0, 12, 2, 4),
+    ])
+    def test_automatic_range_shrinks_to_widest_supported_m(self, amp, n_max, s, m):
+        auto = build_kernel(s, amp, n_max)
+        assert auto.m_max == m < n_max - s
+        explicit = build_kernel(s, amp, n_max, m)
+        for field in ("forward", "inverse", "singular_values"):
+            assert getattr(auto, field).tobytes() == getattr(explicit, field).tobytes()
+        assert auto.condition == explicit.condition
+        with pytest.raises(RankDeficiencyError):
+            build_kernel(s, amp, n_max, m + 1)
+
+    def test_svd_failure_is_ill_conditioned(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(IllConditionedError, match="did not converge"):
+            build_kernel(1, 0.5, 10)
+
     def test_coherent_round_trip_subdiagonal(self):
         # forward-model p-tilde^(1) then invert: analytic coherent elements
         z, amp = 1.8, 0.1
@@ -282,3 +306,14 @@ class TestDensityMatrix:
         assert not np.isnan(mat[0, 0])
         assert not np.isnan(mat[1, 0]) and not np.isnan(mat[0, 1])
         assert np.isnan(mat[5, 0])
+
+
+class TestUniformPhases:
+    def test_accepts_uniform(self):
+        phases = [2 * math.pi * l / 12 for l in range(12)]
+        assert np.allclose(uniform_phases(12), phases, rtol=0, atol=1e-15)
+        check_dm_input(0.5, 2, None, 20, phases)
+
+    def test_rejects_non_uniform(self):
+        with pytest.raises(ValueError, match="uniform phase grid"):
+            check_dm_input(0.5, 0, None, 20, [0.0, 1.0, 2.0])

@@ -14,6 +14,7 @@ from onofftomo import (
     ModulationSpec,
     ReconstructionError,
     bootstrap,
+    build_kernel,
     delta_map,
     displaced_photon_distribution,
     dm_pipeline,
@@ -149,8 +150,28 @@ class TestOneBlockBootstrap:
         cfg = EMConfig(n_max=14, tol=1e-12, max_iter=500, accelerate=False)
         wigner = bootstrap(data, wigner_pipeline(cfg), n_replicas=8, seed=4)
         dm = bootstrap(data, dm_pipeline(0.4, 1, 5, cfg), n_replicas=8, seed=4)
-        both = EMPipeline(cfg, (wigner_readout, dm_readout(0.4, 1, 5)))
+        kernels = [build_kernel(s, 0.4, 14, 5) for s in (0, 1)]
+        both = EMPipeline(cfg, (wigner_readout, dm_readout(kernels)))
         assert bootstrap(data, both, n_replicas=8, seed=4) == wigner + dm
+
+    def test_dm_replica_builds_no_kernel(self, high_grid, monkeypatch):
+        from onofftomo import inversion
+
+        pipe = dm_pipeline(0.4, 1, None, EMConfig(n_max=14, tol=1e-12, max_iter=200,
+                                                  accelerate=False))
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(inversion, "displacement_matrix", counted(inversion.displacement_matrix))
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+        reports = bootstrap(self._data(high_grid), pipe, n_replicas=4, seed=4)
+        assert calls == []
+        assert {r.replicas for r in reports} == {4} and "dm[1,0]" in {r.tag for r in reports}
 
     def test_one_failed_row_fails_one_replica(self, high_grid, monkeypatch):
         from onofftomo import uncertainty
