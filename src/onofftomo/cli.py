@@ -178,8 +178,8 @@ class RunConfig:
         max_iter = _number(int, em_doc.get("max_iter", 100000), "em.max_iter")
         try:
             em = EMConfig(n_max=em_n_max, tol=tol, max_iter=max_iter, accelerate=accelerate)
-        except ValueError as err:
-            raise ConfigError(f"em: {err}") from err
+        except ValueError as err:  # each message starts with the field's name
+            raise ConfigError(f"em.{err}") from err
 
         targets = doc.get("targets", ["pn"])
         if not (isinstance(targets, list) and targets

@@ -165,6 +165,25 @@ class TestReconstruct:
         for f in files:
             assert (tmp_path / "out" / f).read_bytes() == snap[f]
 
+    def test_default_em_converges_on_finite_shots(self, tmp_path):
+        # no "em" section: the accelerated defaults (tol 1e-9) reach their stop
+        cfg = tmp_path / "cfg.json"
+        doc = write_config(
+            cfg,
+            state={"kind": "thermal", "n_th": 2.4},
+            modulation={"amps": [0.0, 1.0, 2.0, 3.0], "n_phases": 1},
+            shots=30000,
+            targets=["pn", "wigner"],
+        )
+        doc.pop("em")
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data]) == 0
+        em = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["em"]
+        assert len(em) == 4
+        assert all(r["converged"] and r["iterations"] <= 100 for r in em)
+
     def test_one_em_call_for_every_amplitude(self, tmp_path, monkeypatch):
         from onofftomo import cli
 
@@ -623,32 +642,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"amp {amp}" in err and reason in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("overrides", [
-        {"modulation": {"amps": [0.0], "n_phases": [3]}},
-        {"shots": None},
-        {"em": {"n_max": "abc"}},
+    @pytest.mark.parametrize("overrides, message", [
+        ({"modulation": {"amps": [0.0], "n_phases": [3]}}, None),
+        ({"shots": None}, None),
+        ({"em": {"n_max": "abc"}}, None),
         # integers are not truncated and booleans are not coerced
-        {"modulation": {"amps": [0.0], "n_phases": 2.7}},
-        {"shots": 1000.9},
-        {"em": {"max_iter": 200.5}},
-        {"state": {"kind": "fock", "n": 2.5}},
-        {"em": {"accelerate": "false"}},
+        ({"modulation": {"amps": [0.0], "n_phases": 2.7}}, None),
+        ({"shots": 1000.9}, None),
+        ({"em": {"max_iter": 200.5}}, None),
+        ({"state": {"kind": "fock", "n": 2.5}}, None),
+        ({"em": {"accelerate": "false"}}, None),
         # numbers are JSON numbers: strings and booleans are not cast
-        {"shots": "1000"},
-        {"modulation": {"amps": [0.0], "n_phases": True}},
-        {"grid": {"k": 25, "eta_max": "0.5"}},
-        {"modulation": {"amps": ["0.5"], "n_phases": 1}},
-        {"em": {"tol": True}},
+        ({"shots": "1000"}, None),
+        ({"modulation": {"amps": [0.0], "n_phases": True}}, None),
+        ({"grid": {"k": 25, "eta_max": "0.5"}}, None),
+        ({"modulation": {"amps": ["0.5"], "n_phases": 1}}, None),
+        ({"em": {"tol": True}}, None),
+        # range errors name the field as type errors do
+        ({"em": {"tol": 0}}, "invalid input: em.tol must be > 0\n"),
+        ({"em": {"max_iter": 0}}, "invalid input: em.max_iter must be >= 1\n"),
     ], ids=["n_phases_list", "shots_null", "em_n_max_string", "n_phases_fraction",
             "shots_fraction", "em_max_iter_fraction", "fock_n_fraction", "accelerate_string",
-            "shots_string", "n_phases_bool", "eta_max_string", "amp_string", "em_tol_bool"])
-    def test_malformed_config(self, tmp_path, capsys, overrides):
+            "shots_string", "n_phases_bool", "eta_max_string", "amp_string", "em_tol_bool",
+            "em_tol_zero", "em_max_iter_zero"])
+    def test_malformed_config(self, tmp_path, capsys, overrides, message):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         capsys.readouterr()
         assert main(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and err.count("\n") == 1
+        if message is not None:
+            assert err == message
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(records=[5]),
@@ -717,10 +742,10 @@ class TestExitCodes:
     def test_em_linalg_error_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
         from onofftomo import emrecon
 
-        def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(emrecon, "_lstsq_rows", no_convergence)
+        monkeypatch.setattr(emrecon.np.linalg, "solve", singular)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, state={"kind": "coherent", "z": 1.0},
                      modulation={"amps": [0.5], "n_phases": 1},
@@ -729,8 +754,7 @@ class TestExitCodes:
         capsys.readouterr()
         data = str(tmp_path / "out" / "dataset.json")
         assert main(["reconstruct", "--config", str(cfg), "--data", data]) == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: SVD did not converge in Linear Least Squares\n")
+        assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
 
     def test_log_level_info_shows_max_iter(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -767,7 +791,7 @@ class TestExitCodes:
 
 class TestStartup:
     """The CLI starts on numpy alone; sampling above 10^5 shots loads only scipy.special,
-    and only accelerated batches of several blocks load multiprocessing."""
+    and no EM run loads multiprocessing."""
 
     SCRIPT = """
 import sys
@@ -810,10 +834,9 @@ for shots in (30000, 10**12):
                              capture_output=True, text=True).stdout.splitlines()
         assert out == ["[]"] + want
 
-    POOL = """
+    EM_RUNS = """
 import json, sys
 import onofftomo.cli
-print('multiprocessing' in sys.modules)
 doc = {"state": {"kind": "thermal", "n_th": 1.0}, "modulation": {"amps": [0.0, 0.5], "n_phases": 2},
        "grid": {"k": 25, "eta_max": 0.67}, "shots": 30000, "seed": 1,
        "em": {"tol": 1e-12, "max_iter": 50, "accelerate": False}, "targets": ["pn"],
@@ -822,18 +845,20 @@ cfg = sys.argv[1] + "/cfg.json"
 json.dump(doc, open(cfg, "w"))
 for args in (["simulate"], ["reconstruct", "--data", sys.argv[1] + "/dataset.json"]):
     assert onofftomo.cli.main(args + ["--config", cfg]) == 0
-print('multiprocessing' in sys.modules)
-from onofftomo import EMConfig, reconstruct_pn
+from onofftomo import EMConfig, reconstruct_pn_batch
 from onofftomo.datafile import read_dataset_file
-reconstruct_pn(read_dataset_file(sys.argv[1] + "/dataset.json").datasets()[0], EMConfig(n_max=8, max_iter=50))
+records = read_dataset_file(sys.argv[1] + "/dataset.json").datasets()
+reconstruct_pn_batch(records, EMConfig(n_max=8))
+reconstruct_pn_batch(records, EMConfig(), n_max=[8, 8, 12, 12])
 print('multiprocessing' in sys.modules)
 """
 
-    def test_plain_and_one_record_em_leave_multiprocessing_unloaded(self, tmp_path):
-        # only accelerated batches of two or more blocks fork workers
+    def test_no_em_run_loads_multiprocessing(self, tmp_path):
+        # plain, accelerated at one truncation and accelerated at two all
+        # solve in this process
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = subprocess.run([sys.executable, "-c", self.POOL, str(tmp_path)], env=env, check=True,
-                             capture_output=True, text=True).stdout.splitlines()
-        assert out[0] == "False" and out[-2:] == ["False", "False"]
+        out = subprocess.run([sys.executable, "-c", self.EM_RUNS, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True).stdout.splitlines()
+        assert out[-1] == "False"
