@@ -351,7 +351,7 @@ def cmd_reconstruct(args) -> int:
             diagnostics["em"] += [
                 {"amp": ds.amp, "phase": ds.phase, "n_max": n_bar, "iterations": r.iterations,
                  "converged": r.converged, "residual": r.residual, "final_ll": r.final_ll,
-                 "ll_decreases": r.ll_decreases}
+                 "ll_decreases": r.ll_decreases, **({} if r.lam is None else {"lam": r.lam})}
                 for ds, r in zip(datasets, results)
             ]
 

@@ -97,9 +97,12 @@ class EMResult:
     ``ll_history[i]`` is the binomial log-likelihood of iterate i (0 = the
     uniform start).  For the plain iteration ``iterations`` counts passes,
     ``residual`` is the max-norm update at the last pass and ``prenorm_sum``
-    the final pre-normalization mass.  For the accelerated solve
-    ``iterations`` counts Newton steps, ``residual`` is half the squared
-    Newton decrement at the result and ``prenorm_sum`` is 1.0.
+    the final pre-normalization mass; ``ll_decreases`` counts passes that
+    lowered the log-likelihood.  For the accelerated solve ``iterations``
+    counts Newton steps, ``residual`` is half the squared Newton decrement,
+    ``prenorm_sum`` is 1.0, ``lam`` the final entropy weight 1 / sqrt(N),
+    and ``ll_decreases`` counts steps that lowered their stage's objective
+    l / N + lam H, since l alone is traded against entropy.
     """
 
     distribution: PhotonDistribution
@@ -110,6 +113,7 @@ class EMResult:
     ll_history: np.ndarray
     prenorm_sum: float
     ll_decreases: int
+    lam: float | None = None
 
     def __post_init__(self):
         total = float(self.distribution.probs.sum())
@@ -208,17 +212,20 @@ def em_step(p: PhotonDistribution, data: OnOffDataset) -> PhotonDistribution:
     return PhotonDistribution(new[0])
 
 
-def _result(p, iterations, converged, residual, prenorm, ll_hist) -> EMResult:
+def _result(p, iterations, converged, residual, prenorm, ll_hist, lam=None,
+            objective=None) -> EMResult:
+    """EMResult counting the falls of ``objective`` (before, after) pairs or of l."""
     ll = np.asarray(ll_hist)
-    drops = np.diff(ll) < -1e-12 * np.maximum(1.0, np.abs(ll[:-1]))
+    before, after = ll[:-1], ll[1:]
+    if objective is not None:
+        before, after = np.reshape(objective, (-1, 2)).T
+    change = after - before
+    drops = change < -1e-12 * np.maximum(1.0, np.abs(before))
     n_drops = int(drops.sum())
     if n_drops:
-        logger.debug(
-            "log-likelihood decreased on %d/%d steps (worst %.3e)",
-            n_drops,
-            ll.size - 1,
-            float(np.diff(ll)[drops].min()),
-        )
+        logger.debug("%s decreased on %d/%d steps (worst %.3e)",
+                     "log-likelihood" if objective is None else "objective l/N + lam H",
+                     n_drops, change.size, float(change[drops].min()))
     return EMResult(
         distribution=PhotonDistribution(p),
         iterations=iterations,
@@ -228,6 +235,7 @@ def _result(p, iterations, converged, residual, prenorm, ll_hist) -> EMResult:
         ll_history=ll,
         prenorm_sum=float(prenorm),
         ll_decreases=n_drops,
+        lam=lam,
     )
 
 
@@ -327,6 +335,7 @@ def _newton_solve(data: OnOffDataset, n_max: int, cfg: EMConfig) -> tuple | IllC
     kkt = np.zeros((n_max + 2, n_max + 2))
     kkt[-1, :-1] = kkt[:-1, -1] = 1.0
     ll_hist = [_binomial_ll(counts, on, A @ p)]  # the start, then one per step
+    objective = []  # the stage objective before and after each step
     for lam in [10.0**-j for j in range(1, 20) if 10.0**-j > lam_end] + [lam_end]:
         while True:
             grad = M.T @ (w / mp) - lam * (np.log(p) + 1.0)
@@ -349,10 +358,12 @@ def _newton_solve(data: OnOffDataset, n_max: int, cfg: EMConfig) -> tuple | IllC
                 t *= 0.5
             else:  # no step gains at this precision: on to the next stage
                 break
+            before = ll_hist[-1] / data.shots - lam * float(p @ np.log(p))
             p = new / new.sum()
             mp = M @ p
             ll_hist.append(_binomial_ll(counts, on, A @ p))
-    return p, len(ll_hist) - 1, dec <= cfg.tol, dec, 1.0, ll_hist
+            objective.append((before, ll_hist[-1] / data.shots - lam * float(p @ np.log(p))))
+    return p, len(ll_hist) - 1, dec <= cfg.tol, dec, 1.0, ll_hist, lam_end, objective
 
 
 def reconstruct_pn_batch(datasets, config: EMConfig | None = None,

@@ -5,9 +5,10 @@ distributions of displaced states.  Everything is dimensionless; a state
 truncated at ``n_max`` keeps Fock components 0..n_max and declares the
 probability mass it dropped as its ``tail``.
 
-All operations are pure functions of their inputs; the value objects copy
-their arrays and mark them read-only, so instances are safe to share across
-threads.
+Results depend on the inputs alone.  Displacement magnitudes are cached per
+exact |alpha| in read-only arrays, updated by single dict operations, so the
+cache is thread-safe; the value objects copy their arrays and mark them
+read-only, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TruncationError
 
@@ -27,6 +29,11 @@ _LOG_BOUND = 700.0  # exp() overflow threshold for matrix-element magnitudes
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 _MAX_DISPLACED_DIM = 4000  # cap on the grown truncation of a displaced state
+
+# displacement magnitudes of the last _MAGNITUDES_KEPT moduli, keyed on the
+# exact |alpha|; entries over _MAGNITUDES_MAX_DIM (8 MiB) are not kept
+_MAGNITUDES: dict[float, np.ndarray] = {}
+_MAGNITUDES_KEPT, _MAGNITUDES_MAX_DIM = 8, 1024
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -230,16 +237,59 @@ def displacement_element(n: int, m: int, alpha) -> complex:
     return complex(math.copysign(mag, mant) * unit)
 
 
+def _displacement_magnitudes(abs_a: float, dim: int) -> np.ndarray:
+    """Real <m+d|D(|alpha|)|m> at [m, d] for m + d < dim (zero elsewhere).
+
+    Every entry comes from its own log-scaled Laguerre recurrence
+    (vectorized over the offset d), so it does not depend on ``dim`` and
+    round-off never propagates between entries; naive row/column
+    recurrences blow up where the matrix elements grow from tiny seeds.
+    """
+    x = abs_a * abs_a
+    d = np.arange(dim, dtype=float)
+    prev, cur, scale = np.ones(dim), 1.0 + d - x, np.zeros(dim)  # L_0^(d), L_1^(d)
+    # row m holds L_m^(d)(x) as mantissa * exp(scale), for every d at once
+    mant, scales = np.empty((dim, dim)), np.zeros((dim, dim))
+    mant[0] = prev
+    mant[1:2] = cur  # no row 1 at dim 1
+    for m in range(2, dim):
+        k = m - 1
+        prev, cur = cur, ((2 * k + 1 + d - x) * cur - (k + d) * prev) / (k + 1)
+        big = np.maximum(np.abs(prev), np.abs(cur))
+        high = big > _RESCALE
+        if np.any(high):
+            prev[high] /= _RESCALE
+            cur[high] /= _RESCALE
+            scale[high] += _LOG_RESCALE
+        low = (big > 0) & (big < 1.0 / _RESCALE)
+        if np.any(low):
+            prev[low] *= _RESCALE
+            cur[low] *= _RESCALE
+            scale[low] -= _LOG_RESCALE
+        mant[m], scales[m] = cur, scale
+    lgfact = np.array([math.lgamma(i + 1.0) for i in range(2 * dim - 1)])
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        # the window view holds ln (m + d)! at [m, d]
+        logmag = (0.5 * (lgfact[:dim, None] - sliding_window_view(lgfact, dim))
+                  + d * math.log(abs_a) - 0.5 * x + scales + np.log(np.abs(mant)))
+        vals = np.sign(mant) * np.exp(logmag)
+    m = np.arange(dim)
+    vals[m[:, None] >= dim - m] = 0.0  # m + d >= dim lies outside the matrix
+    vals.flags.writeable = False
+    return vals
+
+
 def displacement_matrix(alpha, dim: int) -> np.ndarray:
     """Dense (dim x dim) truncation of D(alpha) in the number basis.
 
-    Every entry is evaluated from its own log-scaled Laguerre recurrence
-    (vectorized over the offset d = n - m), so round-off never propagates
-    between entries; naive row/column recurrences blow up in the regions
-    where the matrix elements grow from tiny seeds.  The recurrence depends
-    on |alpha| alone: column m's real magnitudes times (alpha/|alpha|)^d give
-    its lower part, and times (-alpha/|alpha|)^d, conjugated, row m's upper
-    part, by D(alpha)^dagger = D(-alpha).  The result agrees with
+    The real magnitudes (:func:`_displacement_magnitudes`) depend on
+    |alpha| alone and are cached per exact, unrounded |alpha|, so all phases
+    of one modulus share one recurrence; a smaller ``dim`` slices a larger
+    entry (the same bits) and a larger one replaces it.  Column m's
+    magnitudes times (alpha/|alpha|)^d give its lower part, and times
+    (-alpha/|alpha|)^d, conjugated, row m's upper part, by D(alpha)^dagger
+    = D(-alpha); both products are formed in the [m, d] layout and then
+    scattered, which keeps the signs of zeros.  The result agrees with
     ``displacement_element`` entrywise up to round-off at any dimension.
     """
     if dim < 1:
@@ -248,50 +298,19 @@ def displacement_matrix(alpha, dim: int) -> np.ndarray:
     if a == 0:
         return np.eye(dim, dtype=complex)
     abs_a = abs(a)
-    x = abs_a * abs_a
-    d = np.arange(dim, dtype=float)
-    lgfact = np.array([math.lgamma(i + 1.0) for i in range(dim + 1)])
-    unit = (a / abs_a) ** np.arange(dim)
-    unit_back = (-a / abs_a) ** np.arange(dim)
-    log_d = d * math.log(abs_a)
-    out = np.zeros((dim, dim), dtype=complex)
-
-    prev = np.ones(dim)          # L_0^(d)(x)
-    cur = 1.0 + d - x            # L_1^(d)(x)
-    scale = np.zeros(dim)
-    for m in range(dim):
-        if m == 0:
-            mant = prev
-        elif m == 1:
-            mant = cur
-        else:
-            k = m - 1
-            prev, cur = cur, ((2 * k + 1 + d - x) * cur - (k + d) * prev) / (k + 1)
-            big = np.maximum(np.abs(prev), np.abs(cur))
-            high = big > _RESCALE
-            if np.any(high):
-                prev[high] /= _RESCALE
-                cur[high] /= _RESCALE
-                scale[high] += _LOG_RESCALE
-            low = (big > 0) & (big < 1.0 / _RESCALE)
-            if np.any(low):
-                prev[low] *= _RESCALE
-                cur[low] *= _RESCALE
-                scale[low] -= _LOG_RESCALE
-            mant = cur
-        n_off = dim - m  # valid offsets d = 0..n_off-1 land inside the matrix
-        dv = slice(0, n_off)
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            logmag = (
-                0.5 * (lgfact[m] - lgfact[m : m + n_off])
-                + log_d[dv]
-                - 0.5 * x
-                + scale[dv]
-                + np.log(np.abs(mant[dv]))
-            )
-            vals = np.sign(mant[dv]) * np.exp(logmag)
-            out[m:, m] = vals * unit[dv]
-            out[m, m + 1 :] = np.conj(vals * unit_back[dv])[1:]
+    vals = _MAGNITUDES.get(abs_a)
+    if vals is None or vals.shape[0] < dim:
+        vals = _displacement_magnitudes(abs_a, dim)
+        if dim <= _MAGNITUDES_MAX_DIM:
+            _MAGNITUDES[abs_a] = vals
+            for stale in list(_MAGNITUDES)[:-_MAGNITUDES_KEPT]:
+                _MAGNITUDES.pop(stale, None)
+    vals = vals[:dim, :dim]
+    out = np.empty((dim, dim), dtype=complex)
+    n, m = np.tril_indices(dim)
+    # the diagonal is written twice and keeps the lower part's value
+    out[m, n] = np.conj(vals * (-a / abs_a) ** np.arange(dim))[m, n - m]
+    out[n, m] = (vals * (a / abs_a) ** np.arange(dim))[m, n - m]
     return out
 
 

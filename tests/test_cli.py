@@ -1,5 +1,6 @@
 """Command-line workflow: files, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -141,6 +142,28 @@ class TestReconstruct:
             ms = [int(r[idx["m"]]) for r in rows if r[idx["s"]] == str(s)]
             assert ms == list(range(41))
 
+    # SHA-256 of each exact-mode output file: they pin the displacement ->
+    # kernel -> inversion chain byte for byte (numpy 2.4, OpenBLAS)
+    EXACT_GOLDEN = {
+        "pn.csv": "9027ed00e27d8d5b65fa65b4b5dc001ff040354ba05a3ca3bd15e85ede78d29c",
+        "wigner.csv": "32732faae717d01f8ab71b10505a620538e18aa117707a1fb2c577781d47248b",
+        "dm.csv": "b483c64923935b1d2e66d5424d03e4332719015e1d7a6e26eb38a490a474894d",
+    }
+
+    def test_exact_mode_golden_hashes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "thermal", "n_th": 1.0},
+            modulation={"amps": [1.0], "n_phases": 8},
+            targets=["pn", "wigner", "dm"],
+            dm={"s_max": 3},
+        )
+        assert main(["reconstruct", "--config", str(cfg), "--exact"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in self.EXACT_GOLDEN}
+        assert digests == self.EXACT_GOLDEN
+
     def test_exact_plus_bootstrap_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
@@ -183,6 +206,24 @@ class TestReconstruct:
         em = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["em"]
         assert len(em) == 4
         assert all(r["converged"] and r["iterations"] <= 100 for r in em)
+
+    @pytest.mark.parametrize("accelerate", [True, False])
+    def test_em_records_carry_the_entropy_weight(self, tmp_path, accelerate):
+        # lam = 1/sqrt(shots) for the accelerated solve; plain records have no lam
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "thermal", "n_th": 1.0},
+            modulation={"amps": [0.5], "n_phases": 2},
+            shots=40000,
+            targets=["pn"],
+            em={"tol": 1e-9, "max_iter": 200, "accelerate": accelerate},
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data]) == 0
+        em = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["em"]
+        assert [r.get("lam") for r in em] == [0.005 if accelerate else None] * 2
 
     def test_one_em_call_for_every_amplitude(self, tmp_path, monkeypatch):
         from onofftomo import cli

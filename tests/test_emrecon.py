@@ -144,6 +144,24 @@ class TestReconstruct:
         assert res.final_ll == res.ll_history[-1]
         assert res.ll_decreases >= 0
 
+    def test_accelerated_decreases_count_the_stage_objective(self, high_grid):
+        # the Newton solve trades the binomial l against entropy, so l itself
+        # falls on some steps (12, 10 and 9 on criterion 5's records); the
+        # objective l/N + lam H of each stage never does
+        cfg = EMConfig(n_max=20, tol=1e-13, max_iter=50_000, accelerate=True)
+        exact = [exact_dataset(normalized(probs).probs, high_grid)
+                 for probs in (poisson_pmf(1.0, 20), geometric_pmf(1.0, 20), np.eye(21)[2])]
+        results = [reconstruct_pn(ds, cfg) for ds in exact]
+        assert all((np.diff(r.ll_history) < 0).any() for r in results)
+        # oracle-like records: thermal n_th 1 at |alpha| 1, 2, 3 and 10^12 shots
+        rho = make_thermal(1.0, 40)
+        oracle = [ds for amp in (1.0, 2.0, 3.0)
+                  for ds in simulate_dataset(rho, ModulationSpec.uniform(amp, 8), high_grid,
+                                             10**12, seed=1)]
+        results += reconstruct_pn_batch(oracle, EMConfig())
+        assert [r.ll_decreases for r in results] == [0] * 27
+        assert all(r.lam == 1.0 / math.sqrt(ds.shots) for ds, r in zip(exact + oracle, results))
+
     def test_published_iterates_normalized(self, high_grid):
         truth = normalized(geometric_pmf(0.9, 18))
         data = exact_dataset(truth.probs, high_grid)

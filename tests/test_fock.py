@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from onofftomo import (
     make_phase_averaged_coherent,
     make_thermal,
 )
+from onofftomo import fock
+from onofftomo.cli import build_state
+from onofftomo.detector import uniform_phases
 from conftest import poisson_pmf
 
 
@@ -109,6 +114,151 @@ class TestDisplacementMatrix:
         assert neg[off].tobytes() == adj[off].tobytes()
         assert neg.diagonal().real.tobytes() == adj.diagonal().real.tobytes()
         assert not neg.diagonal().imag.any() and not adj.diagonal().imag.any()
+
+
+# the oracle's displacements: amplitudes 1, 2 and 3 at 16 uniform phases
+ORACLE_ALPHAS = [amp * cmath.exp(1j * phase)
+                 for amp in (1.0, 2.0, 3.0) for phase in uniform_phases(16)]
+
+
+def reference_displacement_matrix(alpha, dim):
+    """D(alpha) column by column: the same recurrence and arithmetic as
+    ``displacement_matrix``, with each column's logs, exps and phase
+    products evaluated in a loop and nothing cached."""
+    a = complex(alpha)
+    abs_a, x = abs(a), abs(a) ** 2
+    d = np.arange(dim, dtype=float)
+    lgfact = np.array([math.lgamma(i + 1.0) for i in range(dim + 1)])
+    unit, unit_back = (a / abs_a) ** np.arange(dim), (-a / abs_a) ** np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    prev, cur, scale = np.ones(dim), 1.0 + d - x, np.zeros(dim)
+    for m in range(dim):
+        if m >= 2:
+            k = m - 1
+            prev, cur = cur, ((2 * k + 1 + d - x) * cur - (k + d) * prev) / (k + 1)
+            big = np.maximum(np.abs(prev), np.abs(cur))
+            high, low = big > fock._RESCALE, (big > 0) & (big < 1.0 / fock._RESCALE)
+            prev[high] /= fock._RESCALE
+            cur[high] /= fock._RESCALE
+            scale[high] += fock._LOG_RESCALE
+            prev[low] *= fock._RESCALE
+            cur[low] *= fock._RESCALE
+            scale[low] -= fock._LOG_RESCALE
+        mant, dv = (prev if m == 0 else cur), slice(0, dim - m)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            logmag = (0.5 * (lgfact[m] - lgfact[m:dim]) + d[dv] * math.log(abs_a) - 0.5 * x
+                      + scale[dv] + np.log(np.abs(mant[dv])))
+            vals = np.sign(mant[dv]) * np.exp(logmag)
+        out[m:, m] = vals * unit[dv]
+        out[m, m + 1:] = np.conj(vals * unit_back[dv])[1:]
+    return out
+
+
+class TestMagnitudeCache:
+    """Magnitudes cached per exact |alpha| give the bits of a fresh recurrence."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(fock, "_MAGNITUDES", {})
+
+    @staticmethod
+    def fresh(a, dim):
+        fock._MAGNITUDES.clear()
+        return displacement_matrix(a, dim)
+
+    @pytest.mark.parametrize("dim", [37, 38, 51, 53, 91])
+    def test_oracle_alphas_from_cache(self, dim):
+        cached = [displacement_matrix(a, dim) for a in ORACLE_ALPHAS]
+        assert len(fock._MAGNITUDES) == 4
+        for a, mat in zip(ORACLE_ALPHAS, cached):
+            assert mat.tobytes() == self.fresh(a, dim).tobytes()
+
+    @pytest.mark.parametrize("a, small, large", [
+        (0.9 - 0.4j, 20, 91),
+        (3.0 * cmath.exp(2.2j), 1, 53),
+        # the signed zeros of the tiny imaginary parts hold too
+        (0.001 * cmath.exp(0.7j), 600, 640),
+    ])
+    def test_small_dim_sliced_from_larger_entry(self, a, small, large):
+        displacement_matrix(-a, large)  # the same modulus, bit for bit
+        served = displacement_matrix(a, small)
+        assert fock._MAGNITUDES[abs(a)].shape == (large, large)
+        assert served.tobytes() == self.fresh(a, small).tobytes()
+
+    def test_nearby_moduli_keep_their_own_entries(self):
+        # the oracle's amplitude 3 has two |alpha| floats across its phases
+        moduli = {abs(a) for a in ORACLE_ALPHAS[32:]}
+        assert moduli == {3.0, 2.9999999999999996}
+        mats = {r: displacement_matrix(r * 1j, 51) for r in moduli}
+        assert set(fock._MAGNITUDES) == moduli
+        assert mats[3.0].tobytes() != mats[2.9999999999999996].tobytes()
+        for r, mat in mats.items():
+            assert mat.tobytes() == self.fresh(r * 1j, 51).tobytes()
+
+    def test_larger_dim_replaces_the_entry_and_oldest_goes_first(self):
+        displacement_matrix(0.5, 10)
+        displacement_matrix(0.5j, 30)
+        assert fock._MAGNITUDES[0.5].shape == (30, 30)
+        assert not fock._MAGNITUDES[0.5].flags.writeable
+        for r in range(1, 10):
+            displacement_matrix(float(r), 5)
+        assert list(fock._MAGNITUDES) == [float(r) for r in range(2, 10)]
+
+    def test_oracle_distributions_run_one_recurrence_per_modulus_and_size(self, monkeypatch):
+        recurrences = []
+
+        def counting(abs_a, dim):
+            recurrences.append((abs_a, dim))
+            return magnitudes(abs_a, dim)
+
+        magnitudes = fock._displacement_magnitudes
+        monkeypatch.setattr(fock, "_displacement_magnitudes", counting)
+        rho, _ = build_state({"kind": "thermal", "n_th": 1.0})
+        for a in ORACLE_ALPHAS:
+            fock.displaced_photon_distribution_auto(rho, a)
+        # 4 moduli, each grown at most once (80 recurrences without the cache)
+        assert len(recurrences) <= 7
+
+    @pytest.mark.parametrize("a, dim", [
+        (ORACLE_ALPHAS[5], 37), (ORACLE_ALPHAS[21], 38), (ORACLE_ALPHAS[37], 91),
+        (-1.3, 40), (0.5j, 2), (3.5, 154), (1.0, 450),
+        # (1000, 550) is a rescaled element
+        (8.0 * cmath.exp(0.4j), 1001),
+        # tiny imaginary parts round to signed zeros
+        (0.001 * cmath.exp(0.7j), 300), (0.001 * cmath.exp(-2.5j), 600),
+    ])
+    def test_same_bits_as_the_column_loop(self, a, dim):
+        assert displacement_matrix(a, dim).tobytes() == reference_displacement_matrix(a, dim).tobytes()
+
+    def test_threads_share_the_cache(self):
+        # more threads than moduli kept, with a short switch interval: every
+        # matrix keeps its bits and the cache still ends within its bound
+        alphas = [r * cmath.exp(0.3j * k) for r in np.linspace(0.5, 5.0, 12) for k in range(3)]
+        want = [self.fresh(a, 40).tobytes() for a in alphas]
+        got, errors = {}, []
+
+        def work(offset):
+            try:
+                for i in range(len(alphas)):
+                    j = (i + offset) % len(alphas)
+                    got[offset, j] = displacement_matrix(alphas[j], 40).tobytes()
+            except Exception as err:  # reported by the assertion below
+                errors.append(err)
+
+        fock._MAGNITUDES.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k * 5,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert all(got[k * 5, j] == want[j] for k in range(6) for j in range(len(alphas)))
+        assert len(fock._MAGNITUDES) <= fock._MAGNITUDES_KEPT
 
 
 class TestDisplacedDistribution:
