@@ -67,8 +67,11 @@ from .inversion import (
     reconstruct_density_matrix,
     wigner_map_from_data,
 )
-from .uncertainty import EMPipeline, bootstrap, dm_readout, dm_tag, wigner_readout, wigner_tag
-from .uncertainty import dm_pipeline, wigner_pipeline  # noqa: F401  (perfbench/tracer.py patches them here)
+from .uncertainty import EMPipeline, dm_readout, dm_tag, resample, summarize
+from .uncertainty import wigner_readout, wigner_tag
+# perfbench/tracer.py patches these here; reconstruct solves its replicas
+# itself and no longer calls bootstrap, so that span reads 0
+from .uncertainty import bootstrap, dm_pipeline, wigner_pipeline  # noqa: F401
 
 OUTPUT_DIR_ENV = "ONOFFTOMO_OUT"
 
@@ -327,7 +330,9 @@ def cmd_reconstruct(args) -> int:
                 dm_rows = check_dm_input(amp, cfg.s_max, cfg.m_max, n_bar, phases)
             except ValueError as err:
                 raise ConfigError(f"dm at amp {amp!r}: {err}") from err
-    if not args.exact:
+    # a bootstrap has a read-out only under a wigner or dm target
+    draw = args.bootstrap and not {"wigner", "dm"}.isdisjoint(cfg.targets)
+    if not args.exact and not draw:
         # one EM call for every record, each at its amplitude's truncation
         records = [(ds, n_bar) for _, datasets, n_bar in groups.values() for ds in datasets]
         solved = iter(reconstruct_pn_batch([ds for ds, _ in records], cfg.em,
@@ -342,6 +347,11 @@ def cmd_reconstruct(args) -> int:
             dists = [d if d.n_max >= dm_rows else displaced_photon_distribution(rho, a, dm_rows)
                      for a, d in zip(alphas, dists)]
         else:
+            if draw:
+                # one EM call per amplitude: its records, then its replicas
+                replicas = resample(datasets, args.bootstrap, seed)
+                records = datasets + [ds for rep in replicas for ds in rep]
+                solved = iter(reconstruct_pn_batch(records, cfg.em, n_max=[n_bar] * len(records)))
             results = [next(solved) for _ in datasets]
             failed = [r for r in results if isinstance(r, ReconstructionError)]
             if failed:
@@ -383,10 +393,9 @@ def cmd_reconstruct(args) -> int:
         # point estimate's kernels, so all targets share its failed replicas
         stderr = {}
         if args.bootstrap and readouts:
-            pipeline = EMPipeline(dataclasses.replace(cfg.em, n_max=n_bar),
-                                  tuple(readouts.values()))
+            pipeline = EMPipeline(None, tuple(readouts.values()))  # solved above
             try:
-                reports = bootstrap(datasets, pipeline, args.bootstrap, seed)
+                reports = summarize(pipeline.runs(replicas, list(solved)))
             except ReconstructionError as err:
                 for target in readouts:
                     record_failure(amp, target, err)

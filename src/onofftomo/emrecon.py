@@ -16,8 +16,10 @@ conservation.  It runs on a block of records at once: rows that share an
 efficiency grid form an (R, n_max + 1) array, zero-padded up to the largest
 truncation among them, so one pass is two matrix products for the whole
 block.  Every row keeps its own stopping test and diagnostics, and a row
-that fails numerically leaves the block with its error.  Stopped after a
-fixed pass budget, it is the finite-shot estimator.
+that fails numerically leaves the block with its error.  Each iterate's
+likelihood is scored in batches of up to 64 passes, and before any row
+stops, with the same bits as scoring every pass.  Stopped after a fixed pass
+budget, it is the finite-shot estimator.
 
 The likelihood alone does not pick an estimate.  The grid maps Fock
 components to off probabilities through a severely ill-conditioned
@@ -61,6 +63,8 @@ _DIV_FLOOR = 1e-300
 _TRUNCATION_CAP = 200
 _ARMIJO = 0.25  # share of the predicted gain a Newton step must realize
 _HALVINGS = 60  # backtracking halvings before a step counts as stalled
+_LL_BATCH = 64  # plain-EM passes scored in one likelihood call, with at most
+_LL_FLOATS = 2**14  # off probabilities: temporaries > 128 KiB fault in fresh pages
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,10 @@ def default_truncation(data: OnOffDataset) -> int:
     """
     f = np.clip(data.frequencies, 1.0 / (2.0 * data.shots), 1.0)
     k = min(3, data.grid.size)
-    est = -np.log(f[:k]) / data.grid.etas[:k]
-    mean_est = max(float(np.median(est)), 0.0)
+    est = np.sort(-np.log(f[:k]) / data.grid.etas[:k])
+    # np.median's value (a NaN sorts last), without the numpy.ma import it makes
+    median = np.nan if np.isnan(est[-1]) else 0.5 * (est[(k - 1) // 2] + est[k // 2])
+    mean_est = max(float(median), 0.0)
     n_max = math.ceil(mean_est + 6.0 * math.sqrt(mean_est)) + 5
     return min(max(n_max, 1), _TRUNCATION_CAP)
 
@@ -174,12 +180,12 @@ def _row_failures(prenorm: np.ndarray, p_off: np.ndarray) -> dict[int, IllCondit
 
 
 def _rows_ll(counts: np.ndarray, on: np.ndarray, p_off: np.ndarray) -> np.ndarray:
-    """:func:`_binomial_ll` of every row of a block, summed row-wise.
+    """:func:`_binomial_ll` of every row of an (R, K) block or (T, R, K) stack.
 
-    Called with divide-by-zero warnings off (an off probability of 1).
+    Same bits either way; called with divide-by-zero warnings off (p_off = 1).
     """
     log_on = np.log1p(-p_off, where=on > 0, out=np.zeros_like(p_off))
-    return (counts * np.log(p_off) + on * log_on).sum(axis=1)
+    return (counts * np.log(p_off) + on * log_on).sum(axis=-1)
 
 
 def _update(P: np.ndarray, P_off: np.ndarray, F: np.ndarray, W: np.ndarray):
@@ -271,6 +277,8 @@ def _solve_rows(datasets: list[OnOffDataset], n_maxes: list[int],
     ll_hist = np.empty((min(cfg.max_iter, 1023) + 1, len(datasets)))
     live = np.arange(len(datasets))  # input index of each block row
     results: list[tuple | IllConditionedError | None] = [None] * len(datasets)
+    # the off probabilities of passes first..it
+    buf, first = np.empty((min(_LL_BATCH, max(1, _LL_FLOATS // P_off.size)), *P_off.shape)), 1
 
     # a failed row computes non-finite values until the end of its pass
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -280,18 +288,21 @@ def _solve_rows(datasets: list[OnOffDataset], n_maxes: list[int],
             residual = np.abs(new - P).max(axis=1)
             P = np.maximum(new, floor)
             P /= P.sum(axis=1, keepdims=True)
-            P_off = P @ A.T
+            P_off = np.matmul(P, A.T, out=buf[it - first])
             # a row whose update mass is not positive and finite has a NaN
             # residual, so a quiet pass has no failed row
-            quiet = residual.min() >= cfg.tol and P_off.min() >= _DIV_FLOOR
-            failed = {} if quiet else _row_failures(prenorm, P_off)
-            if it == ll_hist.shape[0]:
-                ll_hist = np.concatenate(
-                    [ll_hist, np.empty((min(it, cfg.max_iter + 1 - it), len(datasets)))])
-            ll_hist[it, live] = _rows_ll(counts, on, P_off)
-
-            if it < cfg.max_iter and quiet:
+            quiet = residual.min() >= cfg.tol and P_off.min() >= _DIV_FLOOR and it < cfg.max_iter
+            if quiet and it - first < len(buf) - 1:
                 continue
+            if it >= len(ll_hist):  # one doubling suffices: a batch is shorter
+                extra = np.empty_like(ll_hist[: cfg.max_iter + 1 - len(ll_hist)])
+                ll_hist = np.concatenate([ll_hist, extra])
+            ll_hist[first:it + 1, live] = _rows_ll(counts, on, buf[: it + 1 - first])
+            first = it + 1
+            if quiet:
+                continue
+
+            failed = _row_failures(prenorm, P_off)
             done = residual < cfg.tol
             keep = ~done if it < cfg.max_iter else np.zeros_like(done)
             keep[list(failed)] = False
@@ -304,6 +315,7 @@ def _solve_rows(datasets: list[OnOffDataset], n_maxes: list[int],
                 break
             P, P_off, F, counts, on, floor, live = (
                 x[keep] for x in (P, P_off, F, counts, on, floor, live))
+            buf = np.empty((len(buf), *P_off.shape))
     return results
 
 

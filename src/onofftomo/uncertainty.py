@@ -115,6 +115,12 @@ class EMPipeline:
     def __call__(self, datasets) -> dict:
         return self.read(datasets, reconstruct_pn_batch(datasets, self.em_config))
 
+    def runs(self, replicas, solved) -> list[Callable[[], dict]]:
+        """One :meth:`read` per replica, from the results of all their records in order."""
+        size = len(replicas[0])
+        return [partial(self.read, rep, solved[b * size:(b + 1) * size])
+                for b, rep in enumerate(replicas)]
+
 
 def wigner_pipeline(em_config: EMConfig | None = None) -> EMPipeline:
     """EM -> parity value at each dataset's own modulation point."""
@@ -133,46 +139,23 @@ def dm_pipeline(amp: float, s_max: int, m_max: int | None, em_config: EMConfig) 
     return EMPipeline(em_config, (dm_readout(kernels),))
 
 
-def _resample(ds: OnOffDataset, seed: int, replica: int, record: int) -> OnOffDataset:
-    rng = np.random.default_rng([seed, replica, record])
-    counts = rng.binomial(ds.shots, ds.frequencies).astype(np.int64)
-    return dataclasses.replace(ds, off_counts=counts)
-
-
-def bootstrap(
-    datasets,
-    pipeline,
-    n_replicas: int,
-    seed: int,
-) -> list[ErrorReport]:
-    """Nonparametric error bars for everything the pipeline reports.
-
-    Args:
-        datasets: the measured records to resample.
-        pipeline: callable mapping a list of datasets to {tag: value}.
-        n_replicas: B >= 2 bootstrap replications.
-        seed: base seed; fixed seed => identical reports.
-
-    An :class:`EMPipeline` has the records of all replicas solved in one EM
-    call, then reads out each replica; any other pipeline runs once per
-    replica.  A replica fails when one of its records or read-outs fails,
-    and then for every read-out; more than a fifth of failed replicas aborts
-    with BootstrapError.
-    """
+def resample(datasets, n_replicas: int, seed: int) -> list[list[OnOffDataset]]:
+    """``n_replicas`` replicas of the records: every off count redrawn from
+    Binomial(N, f_k), record r of replica b from substream (seed, b, r)."""
     datasets = list(datasets)
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas")
     if not datasets:
         raise ValueError("need at least one dataset")
-    replicas = [[_resample(ds, seed, b, r) for r, ds in enumerate(datasets)]
-                for b in range(n_replicas)]
-    if isinstance(pipeline, EMPipeline):
-        solved = reconstruct_pn_batch([ds for rep in replicas for ds in rep], pipeline.em_config)
-        size = len(datasets)
-        runs = [partial(pipeline.read, rep, solved[b * size:(b + 1) * size])
-                for b, rep in enumerate(replicas)]
-    else:
-        runs = [partial(pipeline, rep) for rep in replicas]
+    return [[dataclasses.replace(ds, off_counts=np.random.default_rng([seed, b, r]).binomial(
+                ds.shots, ds.frequencies).astype(np.int64))
+             for r, ds in enumerate(datasets)] for b in range(n_replicas)]
+
+
+def summarize(runs) -> list[ErrorReport]:
+    """Mean and spread of every tag over ``runs``, one callable per replica
+    returning {tag: value}.  A replica whose call raises ReconstructionError
+    fails for every tag; more than a fifth of them raises BootstrapError."""
     samples: dict[str, list[complex]] = defaultdict(list)
     failures = 0
     for b, run in enumerate(runs):
@@ -184,11 +167,11 @@ def bootstrap(
             continue
         for tag, value in values.items():
             samples[tag].append(value)
-    if failures > _MAX_FAILURE_FRACTION * n_replicas:
+    if failures > _MAX_FAILURE_FRACTION * len(runs):
         raise BootstrapError(
-            f"{failures}/{n_replicas} bootstrap replicas failed to reconstruct"
+            f"{failures}/{len(runs)} bootstrap replicas failed to reconstruct"
         )
-    successes = n_replicas - failures
+    successes = len(runs) - failures
     reports = []
     for tag, vals in samples.items():
         arr = np.asarray(vals)
@@ -197,6 +180,26 @@ def bootstrap(
         mean_out = float(mean.real) if np.isrealobj(arr) else complex(mean)
         reports.append(ErrorReport(tag=tag, mean=mean_out, stddev=spread, replicas=successes))
     return reports
+
+
+def bootstrap(datasets, pipeline, n_replicas: int, seed: int) -> list[ErrorReport]:
+    """Nonparametric error bars for everything the pipeline reports.
+
+    Args:
+        datasets: the measured records to resample.
+        pipeline: callable mapping a list of datasets to {tag: value}.
+        n_replicas: B >= 2 bootstrap replications.
+        seed: base seed; fixed seed => identical reports.
+
+    An :class:`EMPipeline` has the records of all replicas solved in one EM
+    call, then reads out each replica; any other pipeline runs once per
+    replica.  :func:`summarize` says when a replica fails.
+    """
+    replicas = resample(datasets, n_replicas, seed)
+    if isinstance(pipeline, EMPipeline):
+        solved = reconstruct_pn_batch([ds for rep in replicas for ds in rep], pipeline.em_config)
+        return summarize(pipeline.runs(replicas, solved))
+    return summarize([partial(pipeline, rep) for rep in replicas])
 
 
 @dataclass(frozen=True)

@@ -308,7 +308,9 @@ class TestReconstruct:
         def failing_bootstrap(*args, **kwargs):
             raise BootstrapError("3/4 bootstrap replicas failed to reconstruct")
 
-        monkeypatch.setattr(cli, "bootstrap", failing_bootstrap)
+        # the CLI summarizes its replicas with uncertainty.summarize, which
+        # raises this error when too many replicas fail
+        monkeypatch.setattr(cli, "summarize", failing_bootstrap)
         cfg = tmp_path / "cfg.json"
         write_config(cfg, em={"n_max": 6, "tol": 1e-9, "max_iter": 2000})
         assert main(["simulate", "--config", str(cfg)]) == 0
@@ -469,9 +471,10 @@ class TestReconstruct:
             (0.3, "dm"), (0.6, "dm")]
 
     def test_wigner_and_dm_share_one_bootstrap(self, tmp_path, monkeypatch):
-        # both targets read out the same replicas, so each amplitude solves
-        # its replicas' EM once and both count the same replicas
-        from onofftomo import uncertainty
+        # both targets read out the same replicas, and each amplitude solves
+        # its records and its replicas in one EM call, so a run holds one
+        # amplitude's likelihood histories at a time
+        from onofftomo import cli, uncertainty
 
         calls = []
 
@@ -479,7 +482,8 @@ class TestReconstruct:
             calls.append(len(datasets))
             return solve(datasets, *args, **kwargs)
 
-        solve = uncertainty.reconstruct_pn_batch
+        solve = cli.reconstruct_pn_batch
+        monkeypatch.setattr(cli, "reconstruct_pn_batch", counting)
         monkeypatch.setattr(uncertainty, "reconstruct_pn_batch", counting)
         cfg = tmp_path / "cfg.json"
         write_config(
@@ -494,7 +498,7 @@ class TestReconstruct:
         assert main(["simulate", "--config", str(cfg)]) == 0
         data = str(tmp_path / "out" / "dataset.json")
         assert main(["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "4"]) == 0
-        assert calls == [4 * 4, 4 * 4]
+        assert calls == [4 + 4 * 4, 4 + 4 * 4]
         for name, count in (("wigner.csv", 8), ("dm.csv", 20)):
             header, rows = read_csv(str(tmp_path / "out" / name))
             assert len(rows) == count and all(r[header.index("stderr")] for r in rows)
@@ -502,6 +506,89 @@ class TestReconstruct:
         assert diag["bootstrap"]["outcomes"] == [
             {"amp": amp, "target": target, "succeeded": 4, "failed": 0}
             for amp in (0.3, 0.6) for target in ("wigner", "dm")]
+
+    def test_pn_only_bootstrap_solves_no_replicas(self, tmp_path, monkeypatch):
+        # pn has no bootstrap read-out, so no replica is drawn or solved
+        from onofftomo import cli
+
+        calls = []
+
+        def counting(datasets, *args, **kwargs):
+            calls.append(len(datasets))
+            return solve(datasets, *args, **kwargs)
+
+        solve = cli.reconstruct_pn_batch
+        monkeypatch.setattr(cli, "reconstruct_pn_batch", counting)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, state={"kind": "thermal", "n_th": 1.0},
+                     modulation={"amps": [0.0, 0.5], "n_phases": 2}, targets=["pn"],
+                     em={"tol": 1e-12, "max_iter": 200, "accelerate": False})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        assert main(["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "5"]) == 0
+        assert calls == [4]
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["bootstrap"]["outcomes"] == []
+
+    def test_bootstrap_stderr_matches_the_library_bootstrap(self, tmp_path):
+        # the CLI solves each amplitude's replicas in one block with its point
+        # estimates; the library solves the replicas alone
+        from onofftomo import EMConfig, bootstrap, dm_pipeline, wigner_pipeline
+        from onofftomo.emrecon import default_truncation
+        from onofftomo.uncertainty import dm_tag, wigner_tag
+
+        cfg = tmp_path / "cfg.json"
+        em = {"n_max": None, "tol": 1e-12, "max_iter": 800, "accelerate": False}
+        write_config(cfg, state={"kind": "coherent", "z": 1.0},
+                     modulation={"amps": [0.3, 0.6], "n_phases": 4}, shots=30000,
+                     targets=["wigner", "dm"], dm={"s_max": 1, "m_max": 4}, em=em)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        args = ["reconstruct", "--config", str(cfg), "--data", data, "--bootstrap", "5"]
+        assert main(args + ["--seed", "9"]) == 0
+        got = {}
+        header, rows = read_csv(str(tmp_path / "out" / "wigner.csv"))
+        idx = {h: i for i, h in enumerate(header)}
+        for r in rows:
+            amp, phase = float(r[idx["amp"]]), float(r[idx["phase"]])
+            got[(amp, wigner_tag(amp, phase))] = r[idx["stderr"]]
+        header, rows = read_csv(str(tmp_path / "out" / "dm.csv"))
+        idx = {h: i for i, h in enumerate(header)}
+        for r in rows:
+            got[(float(r[idx["amp"]]), dm_tag(int(r[idx["n"]]), int(r[idx["m"]])))] = r[idx["stderr"]]
+        want = {}
+        for amp, datasets in read_dataset_file(data).by_amp().items():
+            n_max = max(default_truncation(ds) for ds in datasets)
+            em_cfg = EMConfig(n_max=n_max, tol=1e-12, max_iter=800, accelerate=False)
+            for pipe in (wigner_pipeline(em_cfg), dm_pipeline(amp, 1, 4, em_cfg)):
+                for rep in bootstrap(datasets, pipe, 5, 9):
+                    want[(amp, rep.tag)] = rep.stddev
+        assert got.keys() == want.keys() and len(got) == 2 * (4 + 10)
+        for key, stddev in want.items():
+            assert abs(float(got[key]) - stddev) <= 1e-12
+
+    def test_bootstrap_moves_point_estimates_by_rounding_only(self, tmp_path):
+        # with --bootstrap 4 each point estimate shares a block with its 4
+        # replicas, which may take another matrix-product path than the
+        # 16-row block of a run without it; the README bounds the change by 1e-12
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, state={"kind": "thermal", "n_th": 2.4},
+                     modulation={"amps": [round(a, 12) for a in np.linspace(0.0, 3.0, 16)],
+                                 "n_phases": 1},
+                     shots=30000, targets=["pn", "wigner"],
+                     em={"n_max": None, "tol": 1e-12, "max_iter": 3000, "accelerate": False})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        data = str(tmp_path / "out" / "dataset.json")
+        for out, extra in (("plain", []), ("boot", ["--bootstrap", "4"])):
+            args = ["reconstruct", "--config", str(cfg), "--data", data, "--out"]
+            assert main(args + [str(tmp_path / out)] + extra) == 0
+        for name, column in (("pn.csv", "p"), ("wigner.csv", "wigner")):
+            values = {}
+            for out in ("plain", "boot"):
+                header, rows = read_csv(str(tmp_path / out / name))
+                values[out] = np.array([float(r[header.index(column)]) for r in rows])
+            assert values["plain"].size == values["boot"].size > 0
+            assert np.abs(values["plain"] - values["boot"]).max() <= 1e-12
 
 
 class TestReport:
@@ -832,7 +919,8 @@ class TestExitCodes:
 
 class TestStartup:
     """The CLI starts on numpy alone; sampling above 10^5 shots loads only scipy.special,
-    and no EM run loads multiprocessing."""
+    a data-mode reconstruct loads neither scipy nor numpy.ma, and no EM run loads
+    multiprocessing."""
 
     SCRIPT = """
 import sys
@@ -874,6 +962,32 @@ for shots in (30000, 10**12):
         out = subprocess.run([sys.executable, "-c", self.SIMULATE], env=env, check=True,
                              capture_output=True, text=True).stdout.splitlines()
         assert out == ["[]"] + want
+
+    DATA_RECONSTRUCT = """
+import json, sys
+import onofftomo.cli
+doc = {"state": {"kind": "coherent", "z": 1.0}, "modulation": {"amps": [0.3], "n_phases": 4},
+       "grid": {"k": 25, "eta_max": 0.67}, "shots": 30000, "seed": 1,
+       "em": {"n_max": None, "tol": 1e-12, "max_iter": 50, "accelerate": False},
+       "targets": ["pn", "wigner", "dm"], "dm": {"s_max": 1, "m_max": 4},
+       "output": {"dir": sys.argv[1]}}
+cfg = sys.argv[1] + "/cfg.json"
+json.dump(doc, open(cfg, "w"))
+for args in (["simulate"], ["reconstruct", "--data", sys.argv[1] + "/dataset.json",
+                            "--bootstrap", "2"]):
+    assert onofftomo.cli.main(args + ["--config", cfg]) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))
+"""
+
+    def test_data_reconstruct_loads_neither_scipy_nor_numpy_ma(self, tmp_path):
+        # the automatic truncation takes its median without np.median, whose
+        # first call imports numpy.ma (about 13 ms)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", self.DATA_RECONSTRUCT, str(tmp_path)],
+                             env=env, check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "[]"
 
     EM_RUNS = """
 import json, sys

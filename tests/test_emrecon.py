@@ -235,6 +235,21 @@ class TestConfig:
         assert default_truncation(low) < default_truncation(high)
         assert default_truncation(high) >= 8
 
+    @pytest.mark.parametrize("k", [2, 3, 25])
+    def test_default_truncation_takes_the_median(self, k):
+        # the middle of the sorted estimates (the mean of two for K = 2) gives
+        # every n_max that np.median of the three smallest grid points gives
+        grid = uniform_grid(0.67, k)
+        rng = np.random.default_rng(k)
+        for shots in (100, 30000):
+            for _ in range(200):
+                counts = np.sort(rng.integers(0, shots + 1, size=k))[::-1]
+                ds = OnOffDataset(grid=grid, shots=shots, off_counts=counts, amp=0.0, phase=0.0)
+                f = np.clip(ds.frequencies, 1.0 / (2.0 * shots), 1.0)
+                est = max(float(np.median(-np.log(f[:3]) / grid.etas[:3])), 0.0)
+                want = min(max(math.ceil(est + 6.0 * math.sqrt(est)) + 5, 1), 200)
+                assert default_truncation(ds) == want
+
 
 def _same_result(a, b):
     return (
@@ -427,3 +442,116 @@ def test_high_shots_dataset_golden_hash(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "dataset.json").read_bytes()).hexdigest()
     assert digest == HIGH_SHOTS_DATASET_SHA256
+
+
+def _per_pass_rows_ll(counts, on, p_off):
+    log_on = np.log1p(-p_off, where=on > 0, out=np.zeros_like(p_off))
+    return (counts * np.log(p_off) + on * log_on).sum(axis=1)
+
+
+def _per_pass_solve_rows(datasets, n_maxes, cfg):
+    """The plain-EM block loop as it was before batched scoring: the
+    likelihood of every live row is scored on every pass."""
+    from onofftomo.detector import _thinning_matrix
+    from onofftomo.emrecon import _DIV_FLOOR, _row_failures, _update
+
+    A = _thinning_matrix(datasets[0].grid.etas, max(n_maxes))
+    W = A / A.sum(axis=0, keepdims=True)
+    sizes = np.array(n_maxes)[:, None] + 1
+    floor = np.where(np.arange(A.shape[1]) < sizes, _DIV_FLOOR, 0.0)
+    F = np.array([ds.frequencies for ds in datasets])
+    counts = np.array([ds.off_counts for ds in datasets], dtype=float)
+    on = np.array([float(ds.shots) for ds in datasets])[:, None] - counts
+    P = (floor > 0) / sizes
+    P_off = P @ A.T
+    ll_hist = np.empty((cfg.max_iter + 1, len(datasets)))
+    live = np.arange(len(datasets))
+    results = [None] * len(datasets)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ll_hist[0] = _per_pass_rows_ll(counts, on, P_off)
+        for it in range(1, cfg.max_iter + 1):
+            new, prenorm = _update(P, P_off, F, W)
+            residual = np.abs(new - P).max(axis=1)
+            P = np.maximum(new, floor)
+            P /= P.sum(axis=1, keepdims=True)
+            P_off = P @ A.T
+            quiet = residual.min() >= cfg.tol and P_off.min() >= _DIV_FLOOR
+            failed = {} if quiet else _row_failures(prenorm, P_off)
+            ll_hist[it, live] = _per_pass_rows_ll(counts, on, P_off)
+            if it < cfg.max_iter and quiet:
+                continue
+            done = residual < cfg.tol
+            keep = ~done if it < cfg.max_iter else np.zeros_like(done)
+            keep[list(failed)] = False
+            for j in np.flatnonzero(~keep):
+                i = live[j]
+                results[i] = failed[j] if j in failed else (
+                    P[j, : n_maxes[i] + 1], it, bool(done[j]), residual[j], prenorm[j],
+                    ll_hist[: it + 1, i].copy())
+            if not keep.any():
+                break
+            P, P_off, F, counts, on, floor, live = (
+                x[keep] for x in (P, P_off, F, counts, on, floor, live))
+    return results
+
+
+class TestBatchedLikelihood:
+    """The plain EM scores its likelihood once per 64 passes (fewer where 64
+    passes exceed 2^14 off probabilities) and before any row leaves the block;
+    every row keeps the bits of per-pass scoring."""
+
+    @staticmethod
+    def _assert_same_bits(datasets, n_maxes, cfg):
+        from onofftomo.emrecon import _solve_rows
+
+        got = _solve_rows(datasets, n_maxes, cfg)
+        want = _per_pass_solve_rows(datasets, n_maxes, cfg)
+        for g, w in zip(got, want):
+            if isinstance(w, IllConditionedError):
+                assert isinstance(g, IllConditionedError) and str(g) == str(w)
+                continue
+            p, iterations, converged, residual, prenorm, ll = g
+            assert (iterations, converged) == w[1:3]
+            assert p.tobytes() == w[0].tobytes()
+            assert ll.tobytes() == w[5].tobytes()
+            assert np.float64(residual).tobytes() == np.float64(w[3]).tobytes()
+            assert np.float64(prenorm).tobytes() == np.float64(w[4]).tobytes()
+        return got
+
+    @pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 200])
+    def test_budget_around_the_batch_length(self, high_grid, max_iter):
+        # ten rows of 25 off probabilities: 64 passes per call
+        records = TestBatch()._mixed_records(high_grid)[-10:]
+        cfg = EMConfig(tol=1e-12, max_iter=max_iter, accelerate=False)
+        self._assert_same_bits(records, [20] * len(records), cfg)
+
+    def test_rows_that_converge_inside_a_batch(self, high_grid):
+        # rows stop at passes 470 to 1240, most of them inside a batch (46
+        # passes for 14 rows), and two run the 1500-pass budget; truncations
+        # 17..35 pad the block
+        records = TestBatch()._mixed_records(high_grid)
+        n_maxes = [17 + round(18 * i / (len(records) - 1)) for i in range(len(records))]
+        cfg = EMConfig(tol=1e-5, max_iter=1500, accelerate=False)
+        got = self._assert_same_bits(records, n_maxes, cfg)
+        stops = {res[1] for res in got}
+        assert any(it % 64 for it in stops) and len(stops) > 1
+
+    def test_underflow_failure_inside_a_batch(self):
+        bad = TestBatch._underflowing_record()
+        healthy = [dataclasses.replace(bad, off_counts=np.array(c)) for c in ([8, 6, 5, 4],
+                                                                             [9, 8, 7, 6])]
+        # the underflowing row fails at pass 2329, 25 passes into a batch
+        cfg = EMConfig(tol=1e-12, max_iter=3000, accelerate=False)
+        got = self._assert_same_bits([healthy[0], bad, healthy[1]], [4, 10, 8], cfg)
+        assert isinstance(got[1], IllConditionedError)
+
+    def test_block_above_the_buffer_scores_every_pass(self, high_grid):
+        # 700 rows of 25 off probabilities exceed 2^14 floats in one pass
+        records = TestBatch()._mixed_records(high_grid) * 50
+        cfg = EMConfig(tol=1e-12, max_iter=70, accelerate=False)
+        self._assert_same_bits(records, [20] * len(records), cfg)
+
+    def test_one_row_block(self, high_grid):
+        record = TestBatch()._mixed_records(high_grid)[0]
+        cfg = EMConfig(tol=1e-12, max_iter=3000, accelerate=False)
+        self._assert_same_bits([record], [default_truncation(record)], cfg)
