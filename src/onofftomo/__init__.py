@@ -24,7 +24,6 @@ from .emrecon import (
     EMResult,
     default_truncation,
     em_step,
-    log_likelihood,
     reconstruct_pn,
     reconstruct_pn_batch,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "displacement_matrix",
     "dm_pipeline",
     "em_step",
-    "log_likelihood",
     "make_coherent",
     "make_fock",
     "make_phase_averaged_coherent",

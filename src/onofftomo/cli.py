@@ -46,7 +46,8 @@ from .datafile import (
     write_text_atomic,
 )
 from .detector import ModulationSpec, simulate_dataset, uniform_grid, uniform_phases
-from .emrecon import EMConfig, default_truncation, reconstruct_pn_batch
+from .emrecon import (DEFAULT_MAX_ITER, DEFAULT_TOL, EMConfig, default_truncation,
+                      reconstruct_pn_batch)
 from .emrecon import reconstruct_pn  # noqa: F401  (perfbench/tracer.py patches it here)
 from .errors import ConfigError, ReconstructionError, TruncationError
 from .fock import (
@@ -173,12 +174,12 @@ class RunConfig:
 
         em_doc = doc.get("em", {})
         _check_keys(em_doc, {"n_max", "tol", "max_iter", "accelerate"}, "em")
-        accelerate = em_doc.get("accelerate", True)
+        accelerate = em_doc.get("accelerate", EMConfig.accelerate)
         if not isinstance(accelerate, bool):
             raise ConfigError(f"em.accelerate must be true or false, got {accelerate!r}")
         em_n_max = _number(int, em_doc.get("n_max"), "em.n_max", optional=True)
-        tol = _number(float, em_doc.get("tol", 1e-9), "em.tol")
-        max_iter = _number(int, em_doc.get("max_iter", 100000), "em.max_iter")
+        tol = _number(float, em_doc.get("tol", DEFAULT_TOL), "em.tol")
+        max_iter = _number(int, em_doc.get("max_iter", DEFAULT_MAX_ITER), "em.max_iter")
         try:
             em = EMConfig(n_max=em_n_max, tol=tol, max_iter=max_iter, accelerate=accelerate)
         except ValueError as err:  # each message starts with the field's name
@@ -322,7 +323,7 @@ def cmd_reconstruct(args) -> int:
         groups = {amp: ([ds.phase for ds in datasets], datasets,
                         cfg.em.n_max or max(default_truncation(ds) for ds in datasets))
                   for amp, datasets in read_dataset_file(args.data).by_amp().items()}
-    dm_rows = 0  # exact distributions grow to the rows a dm fit needs
+    dm_rows = 0  # exact distributions grow at least to the rows a dm fit needs
     if "dm" in cfg.targets:
         # a dm input that no data can rescue fails before any EM runs
         for amp, (phases, _, n_bar) in groups.items():
@@ -344,7 +345,10 @@ def cmd_reconstruct(args) -> int:
         if args.exact:
             alphas = [amp * cmath.exp(1j * phase) for phase in phases]
             dists = [displaced_photon_distribution_auto(rho, alpha) for alpha in alphas]
-            dists = [d if d.n_max >= dm_rows else displaced_photon_distribution(rho, a, dm_rows)
+            # one truncation per amplitude, as data mode's n_bar: two phases'
+            # |alpha| may differ in the last bit, and so may their tails' truncations
+            trunc = max([dm_rows] + [d.n_max for d in dists])
+            dists = [d if d.n_max == trunc else displaced_photon_distribution(rho, a, trunc)
                      for a, d in zip(alphas, dists)]
         else:
             if draw:

@@ -99,7 +99,9 @@ class EMResult:
     """Converged (or capped) reconstruction plus diagnostics.
 
     ``ll_history[i]`` is the binomial log-likelihood of iterate i (0 = the
-    uniform start).  For the plain iteration ``iterations`` counts passes,
+    uniform start); the accelerated solve records its objective's likelihood
+    term N sum_k w_k ln (M p)_k, the same sum up to rounding (see
+    :func:`_newton_solve`).  For the plain iteration ``iterations`` counts passes,
     ``residual`` is the max-norm update at the last pass and ``prenorm_sum``
     the final pre-normalization mass; ``ll_decreases`` counts passes that
     lowered the log-likelihood.  For the accelerated solve ``iterations``
@@ -124,25 +126,6 @@ class EMResult:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"EM iterate not normalized: sum={total!r}")
         object.__setattr__(self, "ll_history", _freeze(np.asarray(self.ll_history, float)))
-
-
-def _binomial_ll(counts: np.ndarray, on: np.ndarray, p_off: np.ndarray) -> float:
-    """sum_k [c_k ln p_k + (N - c_k) ln(1 - p_k)], degenerate terms dropped;
-    ``on`` holds the N - c_k.
-
-    A count at the boundary (c = 0 or c = N) drops the factor whose
-    multiplier vanishes, so all-off vacuum data scores exactly 0.
-    """
-    off_mask, on_mask = counts > 0, on > 0
-    with np.errstate(divide="ignore"):
-        off_ll = float(counts[off_mask] @ np.log(p_off[off_mask]))
-        return off_ll + float(on[on_mask] @ np.log1p(-p_off[on_mask]))
-
-
-def log_likelihood(p: PhotonDistribution, data: OnOffDataset) -> float:
-    """Binomial log-likelihood of the observed off counts under p."""
-    A = _thinning_matrix(data.grid.etas, p.n_max)
-    return _binomial_ll(data.off_counts, data.shots - data.off_counts, A @ p.probs)
 
 
 def default_truncation(data: OnOffDataset) -> int:
@@ -180,7 +163,8 @@ def _row_failures(prenorm: np.ndarray, p_off: np.ndarray) -> dict[int, IllCondit
 
 
 def _rows_ll(counts: np.ndarray, on: np.ndarray, p_off: np.ndarray) -> np.ndarray:
-    """:func:`_binomial_ll` of every row of an (R, K) block or (T, R, K) stack.
+    """sum_k [c_k ln p_k + (N - c_k) ln(1 - p_k)] of every row of an (R, K) block
+    or (T, R, K) stack; ``on`` holds the N - c_k, and an on count of 0 adds 0.
 
     Same bits either way; called with divide-by-zero warnings off (p_off = 1).
     """
@@ -324,9 +308,10 @@ def _newton_solve(data: OnOffDataset, n_max: int, cfg: EMConfig) -> tuple | IllC
 
     The likelihood per shot is sum_k w_k ln (M p)_k: the rows of A weighted
     by f_k and the rows of 1 - A (on probabilities, exact when p_0 is near 1)
-    weighted by 1 - f_k, rows of weight 0 left out.  Starts from the uniform
-    distribution and follows lam from 0.1 down by factors of 10 to
-    1 / sqrt(N).  Returns the arguments of :func:`_result`, or an
+    weighted by 1 - f_k, rows of weight 0 left out; N times it, the binomial
+    log-likelihood l on the simplex, is the likelihood history.  Starts from
+    the uniform distribution and follows lam from 0.1 down by factors of 10
+    to 1 / sqrt(N).  Returns the arguments of :func:`_result`, or an
     IllConditionedError when no distribution reaches the counts (an on
     count at eta = 0).  A stage also ends when ``_HALVINGS`` halvings find
     no step that realizes its share of the predicted gain; the result is
@@ -337,8 +322,6 @@ def _newton_solve(data: OnOffDataset, n_max: int, cfg: EMConfig) -> tuple | IllC
     f = data.frequencies
     M = np.vstack([A[f > 0], 1.0 - A[f < 1]])
     w = np.concatenate([f[f > 0], 1.0 - f[f < 1]])
-    counts = data.off_counts.astype(float)
-    on = data.shots - counts
     p = np.full(n_max + 1, 1.0 / (n_max + 1))
     mp = M @ p
     if not (mp > 0).all():
@@ -346,7 +329,7 @@ def _newton_solve(data: OnOffDataset, n_max: int, cfg: EMConfig) -> tuple | IllC
     lam_end = 1.0 / math.sqrt(data.shots)
     kkt = np.zeros((n_max + 2, n_max + 2))
     kkt[-1, :-1] = kkt[:-1, -1] = 1.0
-    ll_hist = [_binomial_ll(counts, on, A @ p)]  # the start, then one per step
+    ll_hist = [float(w @ np.log(mp))]  # per shot: the start, then one per step
     objective = []  # the stage objective before and after each step
     for lam in [10.0**-j for j in range(1, 20) if 10.0**-j > lam_end] + [lam_end]:
         while True:
@@ -370,12 +353,13 @@ def _newton_solve(data: OnOffDataset, n_max: int, cfg: EMConfig) -> tuple | IllC
                 t *= 0.5
             else:  # no step gains at this precision: on to the next stage
                 break
-            before = ll_hist[-1] / data.shots - lam * float(p @ np.log(p))
+            before = ll_hist[-1] - lam * float(p @ np.log(p))
             p = new / new.sum()
             mp = M @ p
-            ll_hist.append(_binomial_ll(counts, on, A @ p))
-            objective.append((before, ll_hist[-1] / data.shots - lam * float(p @ np.log(p))))
-    return p, len(ll_hist) - 1, dec <= cfg.tol, dec, 1.0, ll_hist, lam_end, objective
+            ll_hist.append(float(w @ np.log(mp)))
+            objective.append((before, ll_hist[-1] - lam * float(p @ np.log(p))))
+    return (p, len(ll_hist) - 1, dec <= cfg.tol, dec, 1.0, data.shots * np.array(ll_hist),
+            lam_end, objective)
 
 
 def reconstruct_pn_batch(datasets, config: EMConfig | None = None,

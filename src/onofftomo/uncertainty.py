@@ -30,13 +30,7 @@ from .emrecon import EMConfig, reconstruct_pn_batch
 from .emrecon import reconstruct_pn  # noqa: F401  (perfbench/tracer.py patches it here)
 from .errors import BootstrapError, ReconstructionError
 from .fock import FockDensityMatrix, _freeze
-from .inversion import (
-    DensityMatrixResult,
-    build_kernel,
-    check_dm_input,
-    phase_fourier,
-    wigner_map_from_data,
-)
+from .inversion import DensityMatrixResult, phase_fourier, wigner_map_from_data
 from .inversion import reconstruct_density_matrix  # noqa: F401  (perfbench/tracer.py patches it here)
 
 logger = logging.getLogger(__name__)
@@ -79,9 +73,8 @@ def dm_readout(kernels) -> Callable[[list, list], dict]:
     element table.
 
     The distributions must be the phase records of a single amplitude,
-    ordered by phase, on the kernels' truncation.  Given the point
-    estimate's kernels (``[f.kernel for f in result.fits]``), every replica
-    applies the point estimate's inversion and builds no kernel.
+    ordered by phase, on the kernels' truncation; no kernel is built here
+    (:func:`dm_pipeline` passes the point estimate's).
     """
 
     def readout(_datasets, dists):
@@ -127,16 +120,12 @@ def wigner_pipeline(em_config: EMConfig | None = None) -> EMPipeline:
     return EMPipeline(em_config, (wigner_readout,))
 
 
-def dm_pipeline(amp: float, s_max: int, m_max: int | None, em_config: EMConfig) -> EMPipeline:
-    """EM per phase -> :func:`dm_readout` of kernels built once here.
-
-    The EM truncation must be pinned in ``em_config`` so every phase shares it.
-    """
-    if em_config.n_max is None:
-        raise ValueError("dm_pipeline needs a fixed em_config.n_max")
-    check_dm_input(amp, s_max, m_max, em_config.n_max)
-    kernels = [build_kernel(s, amp, em_config.n_max, m_max) for s in range(s_max + 1)]
-    return EMPipeline(em_config, (dm_readout(kernels),))
+def dm_pipeline(fit: DensityMatrixResult, em_config: EMConfig) -> EMPipeline:
+    """EM per phase at the truncation of ``fit``, the point estimate, then
+    :func:`dm_readout` of its kernels: every replica repeats its inversion."""
+    kernels = [f.kernel for f in fit.fits]
+    return EMPipeline(dataclasses.replace(em_config, n_max=kernels[0].n_max),
+                      (dm_readout(kernels),))
 
 
 def resample(datasets, n_replicas: int, seed: int) -> list[list[OnOffDataset]]:

@@ -142,6 +142,26 @@ class TestReconstruct:
             ms = [int(r[idx["m"]]) for r in rows if r[idx["s"]] == str(s)]
             assert ms == list(range(41))
 
+    def test_exact_mode_shares_one_truncation_across_phases(self, tmp_path):
+        # |4.5 e^(i phi)| is 4.500000000000001 at one of the 8 phases, whose
+        # displaced tail picks truncation 66 where the others pick 65
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            state={"kind": "coherent", "z": 0.5},
+            modulation={"amps": [4.5], "n_phases": 8},
+            targets=["pn", "dm"],
+            dm={"s_max": 1},
+        )
+        assert main(["reconstruct", "--config", str(cfg), "--exact"]) == 0
+        _, pn_rows = read_csv(str(tmp_path / "out" / "pn.csv"))
+        assert len(pn_rows) == 8 * 67
+        header, rows = read_csv(str(tmp_path / "out" / "dm.csv"))
+        idx = {h: i for i, h in enumerate(header)}
+        value = {(r[idx["n"]], r[idx["m"]]): float(r[idx["real"]]) for r in rows}
+        assert value[("0", "0")] == pytest.approx(math.exp(-0.25), abs=1e-4)
+        assert value[("1", "0")] == pytest.approx(0.5 * math.exp(-0.25), abs=1e-4)
+
     # SHA-256 of each exact-mode output file: they pin the displacement ->
     # kernel -> inversion chain byte for byte (numpy 2.4, OpenBLAS)
     EXACT_GOLDEN = {
@@ -533,7 +553,8 @@ class TestReconstruct:
     def test_bootstrap_stderr_matches_the_library_bootstrap(self, tmp_path):
         # the CLI solves each amplitude's replicas in one block with its point
         # estimates; the library solves the replicas alone
-        from onofftomo import EMConfig, bootstrap, dm_pipeline, wigner_pipeline
+        from onofftomo import (EMConfig, bootstrap, dm_pipeline, reconstruct_density_matrix,
+                               reconstruct_pn_batch, wigner_pipeline)
         from onofftomo.emrecon import default_truncation
         from onofftomo.uncertainty import dm_tag, wigner_tag
 
@@ -560,7 +581,9 @@ class TestReconstruct:
         for amp, datasets in read_dataset_file(data).by_amp().items():
             n_max = max(default_truncation(ds) for ds in datasets)
             em_cfg = EMConfig(n_max=n_max, tol=1e-12, max_iter=800, accelerate=False)
-            for pipe in (wigner_pipeline(em_cfg), dm_pipeline(amp, 1, 4, em_cfg)):
+            dists = [r.distribution for r in reconstruct_pn_batch(datasets, em_cfg)]
+            fit = reconstruct_density_matrix(dists, amp, s_max=1, m_max=4)
+            for pipe in (wigner_pipeline(em_cfg), dm_pipeline(fit, em_cfg)):
                 for rep in bootstrap(datasets, pipe, 5, 9):
                     want[(amp, rep.tag)] = rep.stddev
         assert got.keys() == want.keys() and len(got) == 2 * (4 + 10)
@@ -840,6 +863,12 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"invalid input: em.{field} must be ")
+
+    def test_config_without_em_section_uses_the_em_defaults(self):
+        from onofftomo import EMConfig
+        from onofftomo.cli import RunConfig
+
+        assert RunConfig.from_dict({"state": {"kind": "vacuum"}}).em == EMConfig()
 
     def test_kernel_svd_failure_fails_only_dm(self, tmp_path, monkeypatch):
         # LAPACK's LinAlgError is a ValueError; a kernel's becomes a per-target

@@ -17,7 +17,6 @@ from onofftomo import (
     PhotonDistribution,
     default_truncation,
     em_step,
-    log_likelihood,
     make_coherent,
     make_phase_averaged_coherent,
     make_thermal,
@@ -176,48 +175,27 @@ class TestReconstruct:
         assert res.distribution.probs.size == 4
 
 
-class TestLogLikelihood:
-    def test_vacuum_on_vacuum_is_zero(self, high_grid):
-        shots = 1000
-        counts = np.full(high_grid.size, shots, dtype=np.int64)
-        data = OnOffDataset(grid=high_grid, shots=shots, off_counts=counts, amp=0.0, phase=0.0)
-        vac = PhotonDistribution(np.array([1.0, 0.0, 0.0]))
-        assert log_likelihood(vac, data) == 0.0
+def _binomial_ll_reference(data, dist):
+    """sum_k c_k ln P_off,k + (N - c_k) ln(1 - P_off,k), terms of count 0 left out."""
+    p_off = np.power.outer(1.0 - data.grid.etas, np.arange(dist.n_max + 1)) @ dist.probs
+    off = data.off_counts.astype(float)
+    on = data.shots - off
+    return float(off[off > 0] @ np.log(p_off[off > 0]) + on[on > 0] @ np.log1p(-p_off[on > 0]))
 
-    def test_additive_over_grid_rows(self):
-        # LL over the full grid equals LL over a prefix plus the missing terms
-        full = uniform_grid(0.6, 6)
-        truth = normalized(poisson_pmf(1.1, 12))
-        data_full = exact_dataset(truth.probs, full)
-        sub = EfficiencyGrid(full.etas[:-1])
-        data_sub = OnOffDataset(
-            grid=sub,
-            shots=data_full.shots,
-            off_counts=data_full.off_counts[:-1],
-            amp=0.0,
-            phase=0.0,
-        )
-        candidate = normalized(poisson_pmf(0.9, 12))
-        n = np.arange(13)
-        p_last = float(np.power(1 - full.etas[-1], n) @ candidate.probs)
-        c = int(data_full.off_counts[-1])
-        term = c * math.log(p_last) + (data_full.shots - c) * math.log1p(-p_last)
-        assert log_likelihood(candidate, data_full) == pytest.approx(
-            log_likelihood(candidate, data_sub) + term, rel=1e-12
-        )
-        assert log_likelihood(candidate, data_full) < log_likelihood(candidate, data_sub)
 
-    def test_truth_beats_perturbations(self, high_grid):
-        truth = normalized(geometric_pmf(1.0, 14))
-        data = exact_dataset(truth.probs, high_grid)
-        base = log_likelihood(truth, data)
-        for n in (0, 3, 9):
-            for delta in (1e-3, -1e-3):
-                probs = truth.probs.copy()
-                if probs[n] + delta <= 0:
-                    continue
-                probs[n] += delta
-                assert log_likelihood(normalized(probs), data) <= base
+class TestLikelihoodHistory:
+    """Both estimators record the binomial log-likelihood of their iterates."""
+
+    @pytest.mark.parametrize("accelerate, shots, amp", [
+        (False, 30000, 0.0), (True, 30000, 0.0), (True, 10**12, 2.0)])
+    def test_final_ll_is_the_binomial_log_likelihood(self, high_grid, accelerate, shots, amp):
+        data = simulate_dataset(make_thermal(1.0, 40), ModulationSpec.uniform(amp, 1),
+                                high_grid, shots, seed=1)[0]
+        res = reconstruct_pn(data, EMConfig(n_max=default_truncation(data), tol=1e-12,
+                                            max_iter=3000, accelerate=accelerate))
+        want = _binomial_ll_reference(data, res.distribution)
+        assert res.final_ll == res.ll_history[-1]
+        assert res.final_ll == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestConfig:

@@ -14,7 +14,6 @@ from onofftomo import (
     ModulationSpec,
     ReconstructionError,
     bootstrap,
-    build_kernel,
     delta_map,
     displaced_photon_distribution,
     dm_pipeline,
@@ -22,14 +21,21 @@ from onofftomo import (
     make_fock,
     make_thermal,
     reconstruct_density_matrix,
+    reconstruct_pn_batch,
     simulate_dataset,
     wigner_pipeline,
 )
-from onofftomo.uncertainty import EMPipeline, dm_readout, wigner_readout
+from onofftomo.uncertainty import EMPipeline, dm_readout, dm_tag, wigner_readout
 
 
 def mean_frequency_pipeline(datasets):
     return {"f_mean": float(np.mean([ds.frequencies.mean() for ds in datasets]))}
+
+
+def point_fit(datasets, cfg, amp, m_max, **kwargs):
+    """The density-matrix point estimate of one amplitude's phase records."""
+    dists = [r.distribution for r in reconstruct_pn_batch(datasets, cfg)]
+    return reconstruct_density_matrix(dists, amp, s_max=1, m_max=m_max, **kwargs)
 
 
 class TestBootstrap:
@@ -115,11 +121,24 @@ class TestBootstrap:
         mod = ModulationSpec.uniform(0.4, 6)
         data = simulate_dataset(rho, mod, high_grid, 20000, seed=2)
         cfg = EMConfig(n_max=14, tol=1e-12, max_iter=500, accelerate=False)
-        pipe = dm_pipeline(0.4, s_max=1, m_max=5, em_config=cfg)
+        pipe = dm_pipeline(point_fit(data, cfg, 0.4, 5), em_config=cfg)
         reports = bootstrap(data, pipe, n_replicas=8, seed=4)
         tags = {r.tag for r in reports}
         assert "dm[0,0]" in tags and "dm[1,0]" in tags
         assert all(r.stddev >= 0 for r in reports)
+
+    def test_dm_pipeline_reports_the_fits_elements(self, high_grid):
+        # at svd_cutoff 1e-4 the s = 0 kernel keeps m <= 29 of n_max 30;
+        # kernels built at the default cutoff would keep m <= 30
+        rho = make_coherent(1.0, 30)
+        data = simulate_dataset(rho, ModulationSpec.uniform(2.0, 4), high_grid, 20000, seed=2)
+        cfg = EMConfig(n_max=30, tol=1e-12, max_iter=200, accelerate=False)
+        fit = point_fit(data, cfg, 2.0, None, svd_cutoff=1e-4)
+        assert fit.fit(0).kernel.m_max == 29
+        reports = bootstrap(data, dm_pipeline(fit, cfg), n_replicas=4, seed=4)
+        assert [r.tag for r in reports] == [dm_tag(m + f.s, m) for f in fit.fits
+                                            for m in range(f.values.size)]
+        assert {r.replicas for r in reports} == {4}
 
 
 class TestOneBlockBootstrap:
@@ -134,7 +153,8 @@ class TestOneBlockBootstrap:
     def test_matches_per_replica_reference(self, high_grid, target):
         data = self._data(high_grid)
         cfg = EMConfig(n_max=14, tol=1e-12, max_iter=500, accelerate=False)
-        pipe = wigner_pipeline(cfg) if target == "wigner" else dm_pipeline(0.4, 1, 5, cfg)
+        pipe = (wigner_pipeline(cfg) if target == "wigner"
+                else dm_pipeline(point_fit(data, cfg, 0.4, 5), cfg))
         block = bootstrap(data, pipe, n_replicas=8, seed=4)
         # a plain callable runs the same pipeline once per replica
         reference = bootstrap(data, lambda datasets: pipe(datasets), n_replicas=8, seed=4)
@@ -149,16 +169,17 @@ class TestOneBlockBootstrap:
         data = self._data(high_grid)
         cfg = EMConfig(n_max=14, tol=1e-12, max_iter=500, accelerate=False)
         wigner = bootstrap(data, wigner_pipeline(cfg), n_replicas=8, seed=4)
-        dm = bootstrap(data, dm_pipeline(0.4, 1, 5, cfg), n_replicas=8, seed=4)
-        kernels = [build_kernel(s, 0.4, 14, 5) for s in (0, 1)]
-        both = EMPipeline(cfg, (wigner_readout, dm_readout(kernels)))
+        fit = point_fit(data, cfg, 0.4, 5)
+        dm = bootstrap(data, dm_pipeline(fit, cfg), n_replicas=8, seed=4)
+        both = EMPipeline(cfg, (wigner_readout, dm_readout([f.kernel for f in fit.fits])))
         assert bootstrap(data, both, n_replicas=8, seed=4) == wigner + dm
 
     def test_dm_replica_builds_no_kernel(self, high_grid, monkeypatch):
         from onofftomo import inversion
 
-        pipe = dm_pipeline(0.4, 1, None, EMConfig(n_max=14, tol=1e-12, max_iter=200,
-                                                  accelerate=False))
+        cfg = EMConfig(n_max=14, tol=1e-12, max_iter=200, accelerate=False)
+        data = self._data(high_grid)
+        pipe = dm_pipeline(point_fit(data, cfg, 0.4, None), cfg)
         calls = []
 
         def counted(fn):
@@ -169,7 +190,7 @@ class TestOneBlockBootstrap:
 
         monkeypatch.setattr(inversion, "displacement_matrix", counted(inversion.displacement_matrix))
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
-        reports = bootstrap(self._data(high_grid), pipe, n_replicas=4, seed=4)
+        reports = bootstrap(data, pipe, n_replicas=4, seed=4)
         assert calls == []
         assert {r.replicas for r in reports} == {4} and "dm[1,0]" in {r.tag for r in reports}
 
