@@ -2,8 +2,9 @@
 
 The toolkit simulates binary (click / no-click) detection of coherently
 displaced field states over a grid of quantum efficiencies, recovers the
-photon-number distribution from the off-click frequencies by a multiplicative
-maximum-likelihood iteration, and assembles the results into Wigner-function
+photon-number distribution from the off-click frequencies (a multiplicative
+iteration on the Poisson-type likelihood, or a Newton solve of the binomial
+likelihood plus an entropy term), and assembles the results into Wigner-function
 values (photon-parity sums) and Fock-basis density-matrix elements (phase
 Fourier transform plus least-squares kernel inversion), with bootstrap error
 propagation.

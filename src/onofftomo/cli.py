@@ -199,6 +199,8 @@ class RunConfig:
                                  "dm.residual_bound")
         if not (0 < svd_cutoff < 1):
             raise ConfigError("dm.svd_cutoff must lie in (0, 1)")
+        if not (0 <= residual_bound < math.inf):
+            raise ConfigError("dm.residual_bound must be finite and >= 0")
 
         out_doc = doc.get("output", {})
         _check_keys(out_doc, {"dir"}, "output")
@@ -260,12 +262,10 @@ def cmd_simulate(args) -> int:
     out_dir = _resolve_out_dir(args.out, cfg.out_dir)
     rho, trunc = build_state(cfg.state)
     grid = uniform_grid(cfg.eta_max, cfg.grid_k)
-    counts = {}
+    records = []
     for ai, amp in enumerate(cfg.amps):
         mod = ModulationSpec.uniform(amp, cfg.n_phases)
-        datasets = simulate_dataset(rho, mod, grid, cfg.shots, _amp_seed(seed, ai))
-        for pi, ds in enumerate(datasets):
-            counts[(ai, pi)] = np.asarray(ds.off_counts)
+        records += simulate_dataset(rho, mod, grid, cfg.shots, _amp_seed(seed, ai))
     bundle = DatasetBundle(
         seed=seed,
         shots=cfg.shots,
@@ -274,7 +274,7 @@ def cmd_simulate(args) -> int:
         amps=cfg.amps,
         phases=tuple(uniform_phases(cfg.n_phases)),
         grid=grid,
-        counts=counts,
+        records=tuple(records),
     )
     path = os.path.join(out_dir, "dataset.json")
     write_dataset_file(path, bundle)
@@ -282,7 +282,7 @@ def cmd_simulate(args) -> int:
     print(f"grid: K={cfg.grid_k} eta_max={cfg.eta_max}")
     print(f"modulation: amps={list(cfg.amps)} n_phases={cfg.n_phases}")
     print(f"shots: {cfg.shots}  seed: {seed}")
-    print(f"wrote {len(counts)} records -> {path}")
+    print(f"wrote {len(records)} records -> {path}")
     return 0
 
 

@@ -54,7 +54,8 @@ def write_text_atomic(path: str, text: str) -> None:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Everything one dataset file holds, in memory."""
+    """Everything one dataset file holds, in memory; ``records`` run
+    amp-major, then in phase order, each at a value of ``amps`` and ``phases``."""
 
     seed: int
     shots: int
@@ -63,37 +64,23 @@ class DatasetBundle:
     amps: tuple[float, ...]
     phases: tuple[float, ...]
     grid: EfficiencyGrid
-    counts: dict  # (amp_index, phase_index) -> np.ndarray, 0-based keys
-
-    def datasets(self) -> list[OnOffDataset]:
-        """Flatten to OnOffDataset records, amp-major then phase order."""
-        out = []
-        for (ai, pi) in sorted(self.counts):
-            out.append(
-                OnOffDataset(
-                    grid=self.grid,
-                    shots=self.shots,
-                    off_counts=self.counts[(ai, pi)],
-                    amp=self.amps[ai],
-                    phase=self.phases[pi],
-                )
-            )
-        return out
+    records: tuple[OnOffDataset, ...]
 
     def by_amp(self) -> dict[float, list[OnOffDataset]]:
         """Group records per amplitude, phases in grid order."""
         grouped: dict[float, list[OnOffDataset]] = {}
-        for ds in self.datasets():
+        for ds in self.records:
             grouped.setdefault(ds.amp, []).append(ds)
         return grouped
 
     def to_document(self) -> dict:
         single = len(self.amps) == 1
         records = []
-        for (ai, pi) in sorted(self.counts):
-            rec = {"phase_index": pi + 1, "off_counts": [int(c) for c in self.counts[(ai, pi)]]}
+        for ds in self.records:
+            rec = {"phase_index": self.phases.index(ds.phase) + 1,
+                   "off_counts": [int(c) for c in ds.off_counts]}
             if not single:
-                rec = {"amp_index": ai + 1, **rec}
+                rec = {"amp_index": self.amps.index(ds.amp) + 1, **rec}
             records.append(rec)
         return {
             "meta": {
@@ -114,35 +101,36 @@ class DatasetBundle:
     def from_document(cls, doc: dict) -> "DatasetBundle":
         try:
             meta = doc["meta"]
+            shots = as_int(meta["shots"], "meta.shots")
             mod = doc["modulation"]
             amp = mod["amp"]
             amps = tuple(as_float(a, "modulation.amp") for a in (amp if isinstance(amp, list)
                                                                   else [amp]))
-            if len(set(amps)) != len(amps):
-                raise ValueError("modulation amplitudes must be distinct")
             phases = tuple(as_float(p, "modulation.phases") for p in mod["phases"])
+            # a record is found by its values, so they must be distinct
+            if len(set(amps)) != len(amps) or len(set(phases)) != len(phases):
+                raise ValueError("modulation amplitudes and phases must be distinct")
             grid = EfficiencyGrid(np.array([float(e) for e in doc["grid"]["etas"]]))
-            counts = {}
+            records = {}  # (amp_index, phase_index), 0-based -> OnOffDataset
             for rec in doc["records"]:
                 ai = as_int(rec.get("amp_index", 1), "amp_index") - 1
                 pi = as_int(rec["phase_index"], "phase_index") - 1
                 if not (0 <= ai < len(amps) and 0 <= pi < len(phases)):
                     raise ValueError(f"record index out of range: {rec}")
-                key = (ai, pi)
-                if key in counts:
+                if (ai, pi) in records:
                     raise ValueError(f"duplicate record for amp {ai + 1}, phase {pi + 1}")
-                # cast by OnOffDataset, whose check rejects non-integer counts
-                counts[key] = np.array(rec["off_counts"])
+                # OnOffDataset's check rejects non-integer counts
+                records[ai, pi] = OnOffDataset(grid, shots, rec["off_counts"], amps[ai], phases[pi])
             return cls(
                 seed=as_int(meta["seed"], "meta.seed"),
-                shots=as_int(meta["shots"], "meta.shots"),
+                shots=shots,
                 state=dict(meta["state"]),
                 truncation=None if meta.get("truncation") is None
                 else as_int(meta["truncation"], "meta.truncation"),
                 amps=amps,
                 phases=phases,
                 grid=grid,
-                counts=counts,
+                records=tuple(records[key] for key in sorted(records)),
             )
         except KeyError as err:
             raise ValueError(f"dataset document missing field {err}") from err

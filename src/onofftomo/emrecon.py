@@ -4,12 +4,15 @@ The click model is linear: f_k ~ P_off(eta_k) = sum_n A_kn p_n with loss
 weights A_kn = (1 - eta_k)^n.  Two estimators recover p from the off counts
 c_k of N shots each.
 
-The plain estimator is the multiplicative maximum-likelihood iteration
+The plain estimator is the multiplicative iteration
 
     p_n  <-  p_n * sum_k (A_kn / sum_j A_jn) * (f_k / p_off_k[p]),
 
 where the inner sum over j runs over the efficiency grid, so the update
 weights form a convex combination and exact model data is a fixed point.
+Its fixed points are stationary points of the Poisson-type likelihood
+sum_k [f_k ln P_k - P_k] of the off frequencies (Shepp & Vardi, IEEE TMI 1,
+113, 1982), not the binomial maximum-likelihood estimate.
 Each published iterate is renormalized to unit sum; the pre-normalization sum
 is kept as a diagnostic of how far the raw update drifts from mass
 conservation.  It runs on a block of records at once: rows that share an

@@ -37,7 +37,7 @@ class TestSimulate:
         write_config(cfg)
         assert main(["simulate", "--config", str(cfg)]) == 0
         bundle = read_dataset_file(str(tmp_path / "out" / "dataset.json"))
-        assert all(np.all(c == 2000) for c in bundle.counts.values())
+        assert all(np.all(ds.off_counts == 2000) for ds in bundle.records)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -61,10 +61,10 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", str(cfg)]) == 0
         bundle = read_dataset_file(str(tmp_path / "out" / "dataset.json"))
-        assert len(bundle.counts) == 4
-        for counts in bundle.counts.values():
-            assert counts.size == 25
-            assert np.all(counts <= 30000)
+        assert len(bundle.records) == 4
+        for ds in bundle.records:
+            assert ds.off_counts.size == 25
+            assert np.all(ds.off_counts <= 30000)
 
 
     def test_explicit_state_truncation_is_recorded(self, tmp_path):
@@ -812,10 +812,15 @@ class TestExitCodes:
         # range errors name the field as type errors do
         ({"em": {"tol": 0}}, "invalid input: em.tol must be > 0\n"),
         ({"em": {"max_iter": 0}}, "invalid input: em.max_iter must be >= 1\n"),
+        # a NaN or negative bound marks every fit unreliable, an infinite one every fit reliable
+        *(({"dm": {"residual_bound": bound}},
+           "invalid input: dm.residual_bound must be finite and >= 0\n")
+          for bound in (math.nan, -1.0, math.inf)),
     ], ids=["n_phases_list", "shots_null", "em_n_max_string", "n_phases_fraction",
             "shots_fraction", "em_max_iter_fraction", "fock_n_fraction", "accelerate_string",
             "shots_string", "n_phases_bool", "eta_max_string", "amp_string", "em_tol_bool",
-            "em_tol_zero", "em_max_iter_zero"])
+            "em_tol_zero", "em_max_iter_zero", "residual_bound_nan", "residual_bound_negative",
+            "residual_bound_inf"])
     def test_malformed_config(self, tmp_path, capsys, overrides, message):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
@@ -1031,7 +1036,7 @@ for args in (["simulate"], ["reconstruct", "--data", sys.argv[1] + "/dataset.jso
     assert onofftomo.cli.main(args + ["--config", cfg]) == 0
 from onofftomo import EMConfig, reconstruct_pn_batch
 from onofftomo.datafile import read_dataset_file
-records = read_dataset_file(sys.argv[1] + "/dataset.json").datasets()
+records = read_dataset_file(sys.argv[1] + "/dataset.json").records
 reconstruct_pn_batch(records, EMConfig(n_max=8))
 reconstruct_pn_batch(records, EMConfig(), n_max=[8, 8, 12, 12])
 print('multiprocessing' in sys.modules)

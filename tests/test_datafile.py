@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from onofftomo import uniform_grid
+from onofftomo import OnOffDataset, uniform_grid
 from onofftomo.datafile import (
     DatasetBundle,
     dumps_canonical,
@@ -20,11 +20,12 @@ def make_bundle(n_amps=1, n_phases=3, k=5):
     rng = np.random.default_rng(0)
     amps = tuple(0.1 * i for i in range(1, n_amps + 1))
     phases = tuple(2 * math.pi * l / n_phases for l in range(n_phases))
-    counts = {
-        (ai, pi): rng.integers(0, 1000, size=k).astype(np.int64)
-        for ai in range(n_amps)
-        for pi in range(n_phases)
-    }
+    records = tuple(
+        OnOffDataset(grid=grid, shots=1000, off_counts=rng.integers(0, 1000, size=k),
+                     amp=amp, phase=phase)
+        for amp in amps
+        for phase in phases
+    )
     return DatasetBundle(
         seed=7,
         shots=1000,
@@ -33,7 +34,7 @@ def make_bundle(n_amps=1, n_phases=3, k=5):
         amps=amps,
         phases=phases,
         grid=grid,
-        counts=counts,
+        records=records,
     )
 
 
@@ -61,8 +62,9 @@ class TestSchema:
             assert back.state == bundle.state
             assert back.amps == bundle.amps
             assert np.array_equal(back.grid.etas, bundle.grid.etas)
-            for key in bundle.counts:
-                assert np.array_equal(back.counts[key], bundle.counts[key])
+            assert len(back.records) == len(bundle.records)
+            for got, want in zip(back.records, bundle.records):
+                assert np.array_equal(got.off_counts, want.off_counts)
 
     def test_file_round_trip_bit_exact(self, tmp_path):
         bundle = make_bundle(n_amps=2)
@@ -75,7 +77,7 @@ class TestSchema:
 
     def test_datasets_carry_modulation(self):
         bundle = make_bundle(n_amps=2, n_phases=2)
-        records = bundle.datasets()
+        records = bundle.records
         assert len(records) == 4
         assert records[0].amp == 0.1 and records[-1].amp == 0.2
         grouped = bundle.by_amp()
@@ -116,8 +118,10 @@ class TestSchema:
         lambda doc: doc["meta"].update(seed=7.5),
         lambda doc: doc["meta"].update(truncation=40.5),
         lambda doc: doc["records"][2].update(phase_index=3.5),
+        # records are found by their phase, so a repeated one would merge
+        lambda doc: doc["modulation"]["phases"].__setitem__(1, doc["modulation"]["phases"][0]),
     ], ids=["records_int", "meta_null", "phases_null", "shots_fraction", "seed_fraction",
-            "truncation_fraction", "phase_index_fraction"])
+            "truncation_fraction", "phase_index_fraction", "repeated_phase"])
     def test_malformed_document_rejected(self, edit):
         doc = make_bundle().to_document()
         edit(doc)
@@ -129,4 +133,4 @@ class TestSchema:
         doc = make_bundle().to_document()
         doc["records"][0]["off_counts"][0] = 1.5
         with pytest.raises(ValueError, match="integers"):
-            DatasetBundle.from_document(doc).datasets()
+            DatasetBundle.from_document(doc)

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from onofftomo import (
     AliasingError,
+    EMConfig,
     IllConditionedError,
+    ModulationSpec,
     PhotonDistribution,
     RankDeficiencyError,
     TruncationError,
     build_kernel,
+    default_truncation,
     displaced_photon_distribution,
     make_coherent,
     make_fock,
@@ -23,6 +26,9 @@ from onofftomo import (
     parity_wigner_point,
     phase_fourier,
     reconstruct_density_matrix,
+    reconstruct_pn_batch,
+    simulate_dataset,
+    uniform_grid,
     wigner_map_exact,
     wigner_map_from_data,
 )
@@ -288,6 +294,24 @@ class TestDensityMatrix:
         broken = [PhotonDistribution(np.roll(d.probs, 3)) for d in dists]
         res = reconstruct_density_matrix(broken, 0.9, s_max=0, m_max=10, residual_bound=1e-4)
         assert not res.fit(0).reliable
+
+    @pytest.mark.parametrize("rho, amp", [
+        (make_coherent(1.8, 40), 0.1),
+        (make_thermal(1.4, 60), 1.33),
+        (make_fock(2, 2), 1.0),
+    ], ids=["coherent", "thermal", "fock2"])
+    def test_automatic_range_leaves_s0_no_residual(self, rho, amp):
+        # the automatic m range makes the s = 0 kernel square, so its residual
+        # is zero by construction and reliable cannot turn false at s = 0
+        data = simulate_dataset(rho, ModulationSpec.uniform(amp, 12), uniform_grid(0.67, 25),
+                                30000, seed=1)
+        n_max = max(default_truncation(ds) for ds in data)
+        results = reconstruct_pn_batch(data, EMConfig(max_iter=300, accelerate=False),
+                                       n_max=[n_max] * len(data))
+        res = reconstruct_density_matrix([r.distribution for r in results], amp, s_max=1)
+        fit = res.fit(0)
+        assert fit.kernel.m_max == n_max
+        assert fit.residual <= 1e-12 and fit.reliable
 
     def test_element_outside_range(self):
         rho = make_coherent(0.9, 25)
