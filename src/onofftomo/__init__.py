@@ -42,7 +42,6 @@ from .fock import (
     FockDensityMatrix,
     PhotonDistribution,
     displaced_photon_distribution,
-    displacement_element,
     displacement_matrix,
     make_coherent,
     make_fock,
@@ -95,7 +94,6 @@ __all__ = [
     "default_truncation",
     "delta_map",
     "displaced_photon_distribution",
-    "displacement_element",
     "displacement_matrix",
     "dm_pipeline",
     "em_step",

@@ -168,6 +168,8 @@ class RunConfig:
             raise ConfigError("grid.eta_max must lie in (0, 1]")
 
         shots = _number(int, doc.get("shots", 30000), "shots", low=1)
+        if shots >= 2**63:  # off counts are int64
+            raise ConfigError("shots must be < 2**63")
         seed = _number(int, doc.get("seed", 0), "seed")
         if not (0 <= seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")

@@ -355,6 +355,8 @@ def simulate_dataset(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots >= 2**63:  # off counts are int64
+        raise ValueError("shots must be < 2**63")
     if not (0 <= int(seed) < 2**64):
         raise ValueError("seed must fit in 64 bits")
     datasets = []

@@ -25,7 +25,6 @@ DEFAULT_TAIL_TOL = 1e-6
 
 _DIAG_NEG_TOL = 1e-12
 _TRACE_SLACK = 1e-12
-_LOG_BOUND = 700.0  # exp() overflow threshold for matrix-element magnitudes
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 _MAX_DISPLACED_DIM = 4000  # cap on the grown truncation of a displaced state
@@ -160,81 +159,8 @@ class FockDensityMatrix:
     def mean_photon(self) -> float:
         return float(np.arange(self.dim) @ self.entries.diagonal().real)
 
-    @property
-    def field_expectation(self) -> complex:
-        """<a> = sum_m sqrt(m) rho[m, m-1]."""
-        m = np.arange(1, self.dim)
-        return complex(np.sqrt(m) @ self.entries[m, m - 1])
-
     def diagonal_distribution(self) -> PhotonDistribution:
         return PhotonDistribution(self.entries.diagonal().real, tail=self.tail)
-
-
-def _laguerre_scaled(m: int, d: int, x: float) -> tuple[float, float]:
-    """Associated Laguerre L_m^(d)(x) as (mantissa, log_scale).
-
-    Upward recurrence in the lower index with rescaling, so the value
-    mantissa * exp(log_scale) never overflows for m into the hundreds.
-    """
-    if m == 0:
-        return 1.0, 0.0
-    prev = 1.0
-    cur = 1.0 + d - x
-    scale = 0.0
-    for k in range(1, m):
-        prev, cur = cur, ((2 * k + 1 + d - x) * cur - (k + d) * prev) / (k + 1)
-        big = max(abs(prev), abs(cur))
-        if big > _RESCALE:
-            prev /= _RESCALE
-            cur /= _RESCALE
-            scale += _LOG_RESCALE
-        elif 0.0 < big < 1.0 / _RESCALE:
-            prev *= _RESCALE
-            cur *= _RESCALE
-            scale -= _LOG_RESCALE
-    return cur, scale
-
-
-def displacement_element(n: int, m: int, alpha) -> complex:
-    """Matrix element <n|D(alpha)|m> of the displacement operator.
-
-    For n >= m this is sqrt(m!/n!) alpha^(n-m) e^(-|alpha|^2/2) L_m^(n-m)(|alpha|^2);
-    the n < m case follows from D(alpha)^dagger = D(-alpha).  Factorial ratios
-    are handled in log space and the Laguerre value by a rescaled recurrence,
-    so the evaluation stays finite well past n = 170.
-
-    Raises:
-        TruncationError: if an intermediate log-magnitude exceeds the exp()
-            overflow threshold (never happens for physical arguments,
-            |<n|D|m>| <= 1).
-    """
-    if n < 0 or m < 0:
-        raise ValueError("Fock indices must be non-negative")
-    a = complex(alpha)
-    if a == 0:
-        return complex(1.0 if n == m else 0.0)
-    if n < m:
-        return complex(np.conj(displacement_element(m, n, -a)))
-    abs_a = abs(a)
-    x = abs_a * abs_a
-    d = n - m
-    mant, lscale = _laguerre_scaled(m, d, x)
-    if mant == 0.0:
-        return 0j
-    logmag = (
-        0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1))
-        + (d * math.log(abs_a) if d else 0.0)
-        - 0.5 * x
-        + lscale
-        + math.log(abs(mant))
-    )
-    if logmag > _LOG_BOUND:
-        raise TruncationError(
-            f"displacement element ({n},{m}) magnitude exceeds exp({_LOG_BOUND:g})"
-        )
-    mag = math.exp(logmag)
-    unit = (a / abs_a) ** d if d else 1.0
-    return complex(math.copysign(mag, mant) * unit)
 
 
 def _displacement_magnitudes(abs_a: float, dim: int) -> np.ndarray:
@@ -289,8 +215,10 @@ def displacement_matrix(alpha, dim: int) -> np.ndarray:
     magnitudes times (alpha/|alpha|)^d give its lower part, and times
     (-alpha/|alpha|)^d, conjugated, row m's upper part, by D(alpha)^dagger
     = D(-alpha); both products are formed in the [m, d] layout and then
-    scattered, which keeps the signs of zeros.  The result agrees with
-    ``displacement_element`` entrywise up to round-off at any dimension.
+    scattered, which keeps the signs of zeros.  Entry [n, m], n >= m, is
+    the closed form sqrt(m!/n!) alpha^(n-m) e^(-|alpha|^2/2) L_m^(n-m)(|alpha|^2)
+    (Cahill & Glauber, Phys. Rev. 177, 1857, 1969) up to round-off, at any
+    dimension.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -364,9 +292,10 @@ def displaced_photon_distribution_auto(
 
     Starts from the energy-based guess (enough for Poisson-like tails) and
     widens geometrically for heavier ones, e.g. displaced thermal states.
+    Every try, the first included, stays within ``_MAX_DISPLACED_DIM``.
     """
     bound = (math.sqrt(max(rho.mean_photon, 0.0)) + abs(complex(alpha))) ** 2
-    trunc = math.ceil(bound + 6.0 * math.sqrt(bound) + 10.0)
+    trunc = min(_MAX_DISPLACED_DIM, math.ceil(bound + 6.0 * math.sqrt(bound) + 10.0))
     while True:
         try:
             return displaced_photon_distribution(rho, alpha, trunc, tail_tol=tail_tol)

@@ -2,11 +2,13 @@
 
 Oracles are written independently of the code paths they check: Poisson
 probabilities by direct factorial evaluation, phase averages by quadrature,
-closed-form Wigner profiles from special functions.
+closed-form Wigner profiles from special functions, displacement matrix
+elements in 40-digit arithmetic.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +29,23 @@ def poisson_pmf(mean: float, n_max: int) -> np.ndarray:
 def geometric_pmf(n_th: float, n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1)
     return (n_th / (1.0 + n_th)) ** n / (1.0 + n_th)
+
+
+def displacement_reference(n: int, m: int, alpha) -> complex:
+    """<n|D(alpha)|m> from its closed form, evaluated in mpmath at 40 digits.
+
+    For n >= m it is sqrt(m!/n!) alpha^(n-m) e^(-|alpha|^2/2) L_m^(n-m)(|alpha|^2)
+    (Cahill & Glauber, Phys. Rev. 177, 1857, 1969); n < m follows from
+    D(alpha)^dagger = D(-alpha).
+    """
+    if n < m:
+        return displacement_reference(m, n, -complex(alpha)).conjugate()
+    with mpmath.workdps(40):
+        a = mpmath.mpc(complex(alpha))
+        x = abs(a) ** 2
+        value = (mpmath.sqrt(mpmath.factorial(m) / mpmath.factorial(n)) * a ** (n - m)
+                 * mpmath.exp(-x / 2) * mpmath.laguerre(m, n - m, x))
+        return complex(value)
 
 
 def wigner_vacuum(r: float) -> float:

@@ -682,6 +682,15 @@ class TestReport:
         err = capsys.readouterr().err
         assert str(path) in err and "'stderr'" in err and err.count("\n") == 1
 
+    def test_row_width_differing_from_header_rejected(self, tmp_path, capsys):
+        path = tmp_path / "pn.csv"
+        path.write_text("amp,phase,n,p\n0.0,0.0,0,1.0\n0.0,0.0,1\n")
+        capsys.readouterr()
+        assert main(["report", "--results", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: {path}: a row's width differs from the header's\n")
+        assert not (tmp_path / "pn_table.csv").exists()
+
     def test_empty_results_file_rejected(self, tmp_path, capsys):
         (tmp_path / "dm.csv").write_text("")
         capsys.readouterr()
@@ -816,11 +825,39 @@ class TestExitCodes:
         *(({"dm": {"residual_bound": bound}},
            "invalid input: dm.residual_bound must be finite and >= 0\n")
           for bound in (math.nan, -1.0, math.inf)),
+        # off counts are int64
+        *(({"shots": shots}, "invalid input: shots must be < 2**63\n")
+          for shots in (2**63, 10**19)),
+        ({"grid": [25, 0.67]}, "invalid input: grid must be a JSON object, got [25, 0.67]\n"),
+        ({"state": {"z": 1.0}}, "invalid input: config needs a state section with a 'kind'\n"),
+        ({"state": {"kind": "coherent"}},
+         "invalid input: state 'coherent' missing parameter(s): ['z']\n"),
+        ({"modulation": {"amps": 0.5}}, "invalid input: modulation.amps must be a list, got 0.5\n"),
+        *(({"modulation": {"amps": amps}}, "invalid input: modulation.amps must be finite and >= 0\n")
+          for amps in ([], [-0.5], [math.nan])),
+        ({"modulation": {"amps": [0.5, 0.5]}}, "invalid input: modulation.amps must be distinct\n"),
+        ({"grid": {"k": 1}}, "invalid input: grid.k must be >= 2\n"),
+        ({"shots": 0}, "invalid input: shots must be >= 1\n"),
+        ({"modulation": {"n_phases": 0}}, "invalid input: modulation.n_phases must be >= 1\n"),
+        *(({"grid": {"eta_max": eta_max}}, "invalid input: grid.eta_max must lie in (0, 1]\n")
+          for eta_max in (0.0, 1.5)),
+        *(({"seed": seed}, "invalid input: seed must fit in 64 bits\n") for seed in (-1, 2**64)),
+        *(({"targets": targets},
+           f"invalid input: targets must be a non-empty subset of pn|wigner|dm, got {targets!r}\n")
+          for targets in ([], ["pn", "rho"], "pn")),
+        *(({"dm": {"svd_cutoff": cutoff}}, "invalid input: dm.svd_cutoff must lie in (0, 1)\n")
+          for cutoff in (0.0, 1.0)),
+        ({"output": {"dir": 5}}, "invalid input: output.dir must be a string, got 5\n"),
     ], ids=["n_phases_list", "shots_null", "em_n_max_string", "n_phases_fraction",
             "shots_fraction", "em_max_iter_fraction", "fock_n_fraction", "accelerate_string",
             "shots_string", "n_phases_bool", "eta_max_string", "amp_string", "em_tol_bool",
             "em_tol_zero", "em_max_iter_zero", "residual_bound_nan", "residual_bound_negative",
-            "residual_bound_inf"])
+            "residual_bound_inf", "shots_2_63", "shots_1e19", "section_not_object",
+            "state_kind_missing", "state_parameter_missing", "amps_not_list", "amps_empty",
+            "amps_negative", "amps_nan", "amps_repeated", "grid_k_one", "shots_zero",
+            "n_phases_zero", "eta_max_zero", "eta_max_above_one", "seed_negative", "seed_2_64",
+            "targets_empty", "targets_unknown", "targets_string", "svd_cutoff_zero",
+            "svd_cutoff_one", "output_dir_number"])
     def test_malformed_config(self, tmp_path, capsys, overrides, message):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
@@ -830,6 +867,15 @@ class TestExitCodes:
         assert err.startswith("invalid input: ") and err.count("\n") == 1
         if message is not None:
             assert err == message
+
+    def test_reconstruct_needs_data_or_exact(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: reconstruct needs --data FILE (or --exact)\n")
+        assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(records=[5]),

@@ -188,6 +188,17 @@ class TestSimulation:
         assert data[0].off_counts.size == high_grid.size
         assert np.abs(data[0].frequencies - np.exp(-0.09 * high_grid.etas)).max() < 1e-5
 
+    @pytest.mark.parametrize("shots", [2**63, 10**19])
+    def test_shots_outside_int64_counts_rejected(self, high_grid, shots):
+        with pytest.raises(ValueError, match=r"^shots must be < 2\*\*63$"):
+            simulate_dataset(make_thermal(1.0, 40), ModulationSpec.uniform(0.3, 1), high_grid, shots)
+
+    def test_largest_shot_count(self, high_grid):
+        shots = 2**63 - 1
+        data = simulate_dataset(make_thermal(1.0, 40), ModulationSpec.uniform(0.3, 1), high_grid,
+                                shots, seed=5)
+        assert data[0].shots == shots and np.all(data[0].off_counts <= shots)
+
 
 class TestBinomialInverse:
     """The vectorised CDF inversion against scipy.stats.binom.ppf, cell for cell."""

@@ -1,4 +1,4 @@
-"""Fock-space numerics: displacement elements, displaced distributions, factories."""
+"""Fock-space numerics: displacement matrices, displaced distributions, factories."""
 
 import cmath
 import math
@@ -15,7 +15,6 @@ from onofftomo import (
     PhotonDistribution,
     TruncationError,
     displaced_photon_distribution,
-    displacement_element,
     displacement_matrix,
     make_coherent,
     make_fock,
@@ -25,37 +24,40 @@ from onofftomo import (
 from onofftomo import fock
 from onofftomo.cli import build_state
 from onofftomo.detector import uniform_phases
-from conftest import poisson_pmf
+from conftest import displacement_reference, poisson_pmf
 
 
 class TestDisplacementElement:
     def test_zero_displacement_is_identity(self):
-        assert displacement_element(3, 3, 0) == 1.0
-        assert displacement_element(2, 5, 0) == 0.0
-        assert displacement_element(5, 2, 0.0 + 0.0j) == 0.0
+        assert displacement_matrix(0, 6)[3, 3] == 1.0
+        assert displacement_matrix(0, 6)[2, 5] == 0.0
+        assert displacement_matrix(0.0 + 0.0j, 6)[5, 2] == 0.0
 
     def test_vacuum_overlap(self):
         for a in (0.3, 1.3, 2.0 - 1.0j):
-            assert displacement_element(0, 0, a) == pytest.approx(
+            assert displacement_matrix(a, 1)[0, 0] == pytest.approx(
                 math.exp(-abs(a) ** 2 / 2), abs=1e-15
             )
 
     def test_coherent_expansion_column(self):
         a = 0.7 + 0.2j
+        column = displacement_matrix(a, 8)[:, 0]
         for n in range(8):
             ref = a**n * cmath.exp(-abs(a) ** 2 / 2) / math.sqrt(math.factorial(n))
-            assert displacement_element(n, 0, a) == pytest.approx(ref, abs=1e-14)
+            assert column[n] == pytest.approx(ref, abs=1e-14)
 
     def test_column_unitarity_oracle(self):
         # direct summation at nbar = 200 as the oracle
         for a in (0.5, 1.7, 3.0):
+            mat = displacement_matrix(a, 201)
             for m in (0, 3, 10):
-                total = sum(abs(displacement_element(n, m, a)) ** 2 for n in range(201))
+                total = sum(abs(mat[n, m]) ** 2 for n in range(201))
                 assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_negative_indices(self):
+        # a truncation of zero rows holds no index at all
         with pytest.raises(ValueError):
-            displacement_element(-1, 0, 0.5)
+            displacement_matrix(0.5, 0)
 
 
 class TestDisplacementMatrix:
@@ -64,14 +66,14 @@ class TestDisplacementMatrix:
         mat = displacement_matrix(a, 25)
         for n in (0, 3, 11, 24):
             for m in (0, 7, 16, 24):
-                assert mat[n, m] == pytest.approx(displacement_element(n, m, a), abs=1e-13)
+                assert mat[n, m] == pytest.approx(displacement_reference(n, m, a), abs=1e-13)
 
     def test_matches_scalar_at_large_dimension(self):
         # the regime where naive recurrences lose all accuracy
         a = 3.5
         mat = displacement_matrix(a, 154)
         for n, m in [(80, 80), (60, 62), (0, 80), (120, 40), (150, 150)]:
-            assert mat[n, m] == pytest.approx(displacement_element(n, m, a), abs=1e-12)
+            assert mat[n, m] == pytest.approx(displacement_reference(n, m, a), abs=1e-12)
 
     @pytest.mark.parametrize("a, dim, entries", [
         # at dim 450 the recurrence of the widest offsets passes the rescale
@@ -82,7 +84,7 @@ class TestDisplacementMatrix:
     def test_rescaled_recurrence_matches_scalar_elements(self, a, dim, entries):
         mat = displacement_matrix(a, dim)
         for n, m in entries:
-            assert mat[n, m] == pytest.approx(displacement_element(n, m, a), rel=1e-12, abs=1e-300)
+            assert mat[n, m] == pytest.approx(displacement_reference(n, m, a), rel=1e-12, abs=1e-300)
         assert max(abs(mat[n, m]) for n, m in entries) > 1e-3
         gram = mat @ mat.conj().T
         lead = dim // 3
@@ -306,16 +308,30 @@ class TestDisplacedDistribution:
             assert np.abs(out[:21, :21] - rho.entries).max() < 1e-8
 
     def test_displaced_mean_identity(self):
-        # mean(p_alpha) = mean(rho) + 2 Re(conj(alpha) <a>) + |alpha|^2
+        # mean(p_alpha) = mean(rho) + 2 Re(conj(alpha) <a>) + |alpha|^2, with
+        # the closed-form <a>: z for the coherent state, 0 for the thermal one
         a = 0.8 + 0.3j
-        for rho in (make_coherent(1.2, 40), make_thermal(1.1, 60)):
+        for rho, field in ((make_coherent(1.2, 40), 1.2), (make_thermal(1.1, 60), 0.0)):
             dist = displaced_photon_distribution(rho, a, 70, tail_tol=1e-8)
-            expect = (
-                rho.mean_photon
-                + 2.0 * (np.conj(a) * rho.field_expectation).real
-                + abs(a) ** 2
-            )
+            expect = rho.mean_photon + 2.0 * (np.conj(a) * field).real + abs(a) ** 2
             assert dist.mean == pytest.approx(expect, abs=1e-6)
+
+    def test_auto_truncation_never_exceeds_the_cap(self, monkeypatch):
+        # thermal 2.4 at |alpha| 10 first guesses n_max 213; with the cap at 60
+        # no try, the first included, asks for more than 61 rows, and a tail
+        # the cap cannot hold raises
+        requested = []
+
+        def recording(alpha, dim):
+            requested.append(dim)
+            return full(alpha, dim)
+
+        full = fock.displacement_matrix
+        monkeypatch.setattr(fock, "_MAX_DISPLACED_DIM", 60)
+        monkeypatch.setattr(fock, "displacement_matrix", recording)
+        with pytest.raises(TruncationError):
+            fock.displaced_photon_distribution_auto(make_thermal(2.4, 60), 10.0)
+        assert requested and max(requested) <= 61
 
 
 class TestFactories:
