@@ -245,6 +245,8 @@ def build_state(spec: dict) -> tuple[FockDensityMatrix, int]:
 
 
 def _resolve_out_dir(arg_out: str | None, cfg_out: str | None) -> str:
+    """The output directory, created here: each command calls this right
+    before its first write, so a rejected command leaves no directory."""
     out = arg_out or cfg_out or os.environ.get(OUTPUT_DIR_ENV) or "."
     os.makedirs(out, exist_ok=True)
     return out
@@ -261,7 +263,6 @@ def _amp_seed(seed: int, amp_index: int) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    out_dir = _resolve_out_dir(args.out, cfg.out_dir)
     rho, trunc = build_state(cfg.state)
     grid = uniform_grid(cfg.eta_max, cfg.grid_k)
     records = []
@@ -278,7 +279,7 @@ def cmd_simulate(args) -> int:
         grid=grid,
         records=tuple(records),
     )
-    path = os.path.join(out_dir, "dataset.json")
+    path = os.path.join(_resolve_out_dir(args.out, cfg.out_dir), "dataset.json")
     write_dataset_file(path, bundle)
     print(f"state: {cfg.state}")
     print(f"grid: K={cfg.grid_k} eta_max={cfg.eta_max}")
@@ -297,7 +298,6 @@ _CSV_HEADERS = {
 
 def cmd_reconstruct(args) -> int:
     cfg = load_config(args.config)
-    out_dir = _resolve_out_dir(args.out, cfg.out_dir)
     if args.bootstrap is not None and args.bootstrap < 2:
         raise ConfigError(f"--bootstrap B needs B >= 2, got {args.bootstrap}")
     if args.exact and args.bootstrap:
@@ -426,6 +426,7 @@ def cmd_reconstruct(args) -> int:
                 for f in res.fits for m, v in enumerate(f.values)
             ]
 
+    out_dir = _resolve_out_dir(args.out, cfg.out_dir)
     wrote = []
     for target, header in _CSV_HEADERS.items():
         if target in cfg.targets:
@@ -464,10 +465,10 @@ def _read_table(path: str, columns: list[str]) -> list[list[str]] | None:
 
 def cmd_report(args) -> int:
     results = args.results
-    out_dir = _resolve_out_dir(args.out, None) if args.out else results
     wrote = []
 
     def emit(name, header, out_rows):
+        out_dir = _resolve_out_dir(args.out, None) if args.out else results
         wrote.append(os.path.join(out_dir, name))
         write_csv(wrote[-1], header, out_rows)
 

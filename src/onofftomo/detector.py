@@ -123,6 +123,8 @@ class OnOffDataset:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.shots >= 2**63:  # off counts are int64
+            raise ValueError("shots must be < 2**63")
         c = np.array(self.off_counts, copy=True)
         if not np.issubdtype(c.dtype, np.integer):
             raise ValueError("off_counts must be integers")

@@ -55,7 +55,7 @@ import numpy as np
 
 from .detector import OnOffDataset, _thinning_matrix
 from .errors import IllConditionedError
-from .fock import PhotonDistribution, _freeze
+from .fock import PhotonDistribution
 
 logger = logging.getLogger(__name__)
 
@@ -101,12 +101,13 @@ class EMConfig:
 class EMResult:
     """Converged (or capped) reconstruction plus diagnostics.
 
-    ``ll_history[i]`` is the binomial log-likelihood of iterate i (0 = the
-    uniform start); the accelerated solve records its objective's likelihood
-    term N sum_k w_k ln (M p)_k, the same sum up to rounding (see
-    :func:`_newton_solve`).  For the plain iteration ``iterations`` counts passes,
-    ``residual`` is the max-norm update at the last pass and ``prenorm_sum``
-    the final pre-normalization mass; ``ll_decreases`` counts passes that
+    ``final_ll`` is the binomial log-likelihood of the last iterate; the
+    accelerated solve scores its objective's likelihood term
+    N sum_k w_k ln (M p)_k, the same sum up to rounding (see
+    :func:`_newton_solve`).  Each solver scores its likelihood as it goes and
+    counts its falls; no per-pass history is kept.  For the plain iteration
+    ``iterations`` counts passes, ``residual`` is the max-norm update at the
+    last pass and ``prenorm_sum`` the final pre-normalization mass; ``ll_decreases`` counts passes that
     lowered the log-likelihood.  For the accelerated solve ``iterations``
     counts Newton steps, ``residual`` is half the squared Newton decrement,
     ``prenorm_sum`` is 1.0, ``lam`` the final entropy weight 1 / sqrt(N),
@@ -119,7 +120,6 @@ class EMResult:
     final_ll: float
     converged: bool
     residual: float
-    ll_history: np.ndarray
     prenorm_sum: float
     ll_decreases: int
     lam: float | None = None
@@ -128,7 +128,6 @@ class EMResult:
         total = float(self.distribution.probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"EM iterate not normalized: sum={total!r}")
-        object.__setattr__(self, "ll_history", _freeze(np.asarray(self.ll_history, float)))
 
 
 def default_truncation(data: OnOffDataset) -> int:
@@ -205,31 +204,10 @@ def em_step(p: PhotonDistribution, data: OnOffDataset) -> PhotonDistribution:
     return PhotonDistribution(new[0])
 
 
-def _result(p, iterations, converged, residual, prenorm, ll_hist, lam=None,
-            objective=None) -> EMResult:
-    """EMResult counting the falls of ``objective`` (before, after) pairs or of l."""
-    ll = np.asarray(ll_hist)
-    before, after = ll[:-1], ll[1:]
-    if objective is not None:
-        before, after = np.reshape(objective, (-1, 2)).T
+def _falls(before, after):
+    """after - before where it is a fall, below -1e-12 max(1, |before|), else 0."""
     change = after - before
-    drops = change < -1e-12 * np.maximum(1.0, np.abs(before))
-    n_drops = int(drops.sum())
-    if n_drops:
-        logger.debug("%s decreased on %d/%d steps (worst %.3e)",
-                     "log-likelihood" if objective is None else "objective l/N + lam H",
-                     n_drops, change.size, float(change[drops].min()))
-    return EMResult(
-        distribution=PhotonDistribution(p),
-        iterations=iterations,
-        final_ll=float(ll[-1]),
-        converged=converged,
-        residual=float(residual),
-        ll_history=ll,
-        prenorm_sum=float(prenorm),
-        ll_decreases=n_drops,
-        lam=lam,
-    )
+    return np.where(change < -1e-12 * np.maximum(1.0, np.abs(before)), change, 0.0)
 
 
 def _solve_rows(datasets: list[OnOffDataset], n_maxes: list[int],
@@ -241,11 +219,13 @@ def _solve_rows(datasets: list[OnOffDataset], n_maxes: list[int],
     and the positivity floor covers each row's own support only, so each row
     runs its own estimator; only the rounding of the block's sums differs.
     Every row starts from the uniform distribution on its support and keeps
-    its own stopping test, pre-normalization sum and likelihood history.  A
-    row leaves the block when it converges, and also when its update mass
-    is not positive and finite or its model off probability underflows.
-    Each row's outcome is the arguments of :func:`_result`, or that
-    IllConditionedError.
+    its own stopping test and pre-normalization sum.  Its likelihood is
+    scored at every pass and its falls counted, but not stored.  A row
+    leaves the block when it converges, and also when its update mass is
+    not positive and finite or its model off probability underflows.  Each
+    row's outcome is (p, passes, converged, residual, prenorm_sum, final_ll,
+    falls, worst fall, None), :func:`_newton_solve`'s tuple without a lam,
+    or that IllConditionedError.
     """
     A = _thinning_matrix(datasets[0].grid.etas, max(n_maxes))
     W = A / A.sum(axis=0, keepdims=True)
@@ -259,17 +239,15 @@ def _solve_rows(datasets: list[OnOffDataset], n_maxes: list[int],
     # 1 / (n_max + 1), so the start needs no underflow check
     P = (floor > 0) / sizes
     P_off = P @ A.T
-    # log-likelihood of iterate t of record i in ll_hist[t, i]; doubled as
-    # needed, up to the max_iter + 1 iterates a row can have
-    ll_hist = np.empty((min(cfg.max_iter, 1023) + 1, len(datasets)))
     live = np.arange(len(datasets))  # input index of each block row
     results: list[tuple | IllConditionedError | None] = [None] * len(datasets)
+    falls, worst = np.zeros(len(datasets), int), np.zeros(len(datasets))  # per input row
     # the off probabilities of passes first..it
     buf, first = np.empty((min(_LL_BATCH, max(1, _LL_FLOATS // P_off.size)), *P_off.shape)), 1
 
     # a failed row computes non-finite values until the end of its pass
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ll_hist[0] = _rows_ll(counts, on, P_off)
+        ll = _rows_ll(counts, on, P_off)  # of each block row's last scored iterate
         for it in range(1, cfg.max_iter + 1):
             new, prenorm = _update(P, P_off, F, W)
             residual = np.abs(new - P).max(axis=1)
@@ -281,11 +259,11 @@ def _solve_rows(datasets: list[OnOffDataset], n_maxes: list[int],
             quiet = residual.min() >= cfg.tol and P_off.min() >= _DIV_FLOOR and it < cfg.max_iter
             if quiet and it - first < len(buf) - 1:
                 continue
-            if it >= len(ll_hist):  # one doubling suffices: a batch is shorter
-                extra = np.empty_like(ll_hist[: cfg.max_iter + 1 - len(ll_hist)])
-                ll_hist = np.concatenate([ll_hist, extra])
-            ll_hist[first:it + 1, live] = _rows_ll(counts, on, buf[: it + 1 - first])
-            first = it + 1
+            scored = np.concatenate([ll[None], _rows_ll(counts, on, buf[: it + 1 - first])])
+            fell = _falls(scored[:-1], scored[1:])
+            falls[live] += (fell < 0).sum(axis=0)
+            worst[live] = np.minimum(worst[live], fell.min(axis=0))
+            ll, first = scored[-1], it + 1
             if quiet:
                 continue
 
@@ -297,11 +275,11 @@ def _solve_rows(datasets: list[OnOffDataset], n_maxes: list[int],
                 i = live[j]
                 results[i] = failed[j] if j in failed else (
                     P[j, : n_maxes[i] + 1], it, bool(done[j]), residual[j], prenorm[j],
-                    ll_hist[: it + 1, i].copy())
+                    ll[j], falls[i], worst[i], None)
             if not keep.any():
                 break
-            P, P_off, F, counts, on, floor, live = (
-                x[keep] for x in (P, P_off, F, counts, on, floor, live))
+            P, P_off, F, counts, on, floor, live, ll = (
+                x[keep] for x in (P, P_off, F, counts, on, floor, live, ll))
             buf = np.empty((len(buf), *P_off.shape))
     return results
 
@@ -312,14 +290,15 @@ def _newton_solve(data: OnOffDataset, n_max: int, cfg: EMConfig) -> tuple | IllC
     The likelihood per shot is sum_k w_k ln (M p)_k: the rows of A weighted
     by f_k and the rows of 1 - A (on probabilities, exact when p_0 is near 1)
     weighted by 1 - f_k, rows of weight 0 left out; N times it, the binomial
-    log-likelihood l on the simplex, is the likelihood history.  Starts from
-    the uniform distribution and follows lam from 0.1 down by factors of 10
-    to 1 / sqrt(N).  Returns the arguments of :func:`_result`, or an
-    IllConditionedError when no distribution reaches the counts (an on
-    count at eta = 0).  A stage also ends when ``_HALVINGS`` halvings find
-    no step that realizes its share of the predicted gain; the result is
-    unconverged when that happens at the last stage, or after
-    ``cfg.max_iter`` Newton steps.
+    log-likelihood l on the simplex, is scored after every step, and the
+    falls of the stage objective counted, not stored.  Starts from the
+    uniform distribution and follows lam from 0.1 down by factors of 10 to
+    1 / sqrt(N).  Returns (p, steps, converged, half the squared decrement,
+    1.0, final l, falls, worst fall, lam), or an IllConditionedError when no
+    distribution reaches the counts (an on count at eta = 0).  A stage also
+    ends when ``_HALVINGS`` halvings find no step that realizes its share of
+    the predicted gain; the result is unconverged when that happens at the
+    last stage, or after ``cfg.max_iter`` Newton steps.
     """
     A = _thinning_matrix(data.grid.etas, n_max)
     f = data.frequencies
@@ -332,15 +311,14 @@ def _newton_solve(data: OnOffDataset, n_max: int, cfg: EMConfig) -> tuple | IllC
     lam_end = 1.0 / math.sqrt(data.shots)
     kkt = np.zeros((n_max + 2, n_max + 2))
     kkt[-1, :-1] = kkt[:-1, -1] = 1.0
-    ll_hist = [float(w @ np.log(mp))]  # per shot: the start, then one per step
-    objective = []  # the stage objective before and after each step
+    ll, steps, falls, worst = float(w @ np.log(mp)), 0, 0, 0.0  # ll per shot
     for lam in [10.0**-j for j in range(1, 20) if 10.0**-j > lam_end] + [lam_end]:
         while True:
             grad = M.T @ (w / mp) - lam * (np.log(p) + 1.0)
             kkt[:-1, :-1] = hess = (M.T * (w / mp**2)) @ M + np.diag(lam / p)
             step = np.linalg.solve(kkt, np.append(grad, 0.0))[:-1]
             dec = 0.5 * float(step @ hess @ step)
-            if dec <= cfg.tol or len(ll_hist) > cfg.max_iter:
+            if dec <= cfg.tol or steps >= cfg.max_iter:
                 break
             # halve until p and M p stay positive and the step realizes a
             # share of its predicted gain 2 dec; the gain is summed from
@@ -356,13 +334,13 @@ def _newton_solve(data: OnOffDataset, n_max: int, cfg: EMConfig) -> tuple | IllC
                 t *= 0.5
             else:  # no step gains at this precision: on to the next stage
                 break
-            before = ll_hist[-1] - lam * float(p @ np.log(p))
+            before = ll - lam * float(p @ np.log(p))
             p = new / new.sum()
             mp = M @ p
-            ll_hist.append(float(w @ np.log(mp)))
-            objective.append((before, ll_hist[-1] - lam * float(p @ np.log(p))))
-    return (p, len(ll_hist) - 1, dec <= cfg.tol, dec, 1.0, data.shots * np.array(ll_hist),
-            lam_end, objective)
+            ll, steps = float(w @ np.log(mp)), steps + 1
+            fell = float(_falls(before, ll - lam * float(p @ np.log(p))))
+            falls, worst = falls + (fell < 0), min(worst, fell)
+    return p, steps, dec <= cfg.tol, dec, 1.0, data.shots * ll, falls, worst, lam_end
 
 
 def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
@@ -398,7 +376,14 @@ def reconstruct_pn_batch(datasets, config: EMConfig | None = None,
     results: list = []
     for i, res in enumerate(solved):
         if not isinstance(res, IllConditionedError):
-            res = _result(*res)
+            p, iterations, converged, residual, prenorm, ll, falls, worst, lam = res
+            if falls:
+                logger.debug("%s decreased on %d/%d steps (worst %.3e)",
+                             "objective l/N + lam H" if cfg.accelerate else "log-likelihood",
+                             falls, iterations, worst)
+            res = EMResult(distribution=PhotonDistribution(p), iterations=iterations,
+                           final_ll=float(ll), converged=converged, residual=float(residual),
+                           prenorm_sum=float(prenorm), ll_decreases=int(falls), lam=lam)
             if not res.converged:
                 logger.info("EM hit max_iter=%d with residual %.3e (tol %.1e) on row "
                             "%d (amp %.6g, phase %.6g)", cfg.max_iter, res.residual,
@@ -415,10 +400,11 @@ def reconstruct_pn(data: OnOffDataset, config: EMConfig | None = None) -> EMResu
     solve when half its squared Newton decrement is at most ``config.tol``
     or after ``config.max_iter`` steps.  Non-convergence is flagged in the
     result, never silent.  The binomial log-likelihood of every published
-    iterate is recorded; the plain iteration is expected (not guaranteed)
-    to raise it at every pass, the accelerated one trades it against
-    entropy, and decreases are counted and logged.  A numerical failure
-    raises IllConditionedError.
+    iterate is scored and its decreases counted and logged, not stored; the
+    plain iteration is expected (not guaranteed) to raise it at every pass,
+    and the accelerated one trades it against entropy, so there the stage
+    objective's decreases are counted.  ``final_ll`` is the last iterate's.
+    A numerical failure raises IllConditionedError.
     """
     result = reconstruct_pn_batch([data], config)[0]
     if isinstance(result, IllConditionedError):

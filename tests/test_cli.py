@@ -666,6 +666,10 @@ class TestReport:
     def test_empty_results_dir_rejected(self, tmp_path):
         os.makedirs(tmp_path / "nothing")
         assert main(["report", "--results", str(tmp_path / "nothing")]) == 2
+        # a rejected report creates no --out directory
+        out = tmp_path / "r4"
+        assert main(["report", "--results", str(tmp_path / "nothere"), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_header_only_pn_table(self, tmp_path, capsys):
         # reconstruct writes a header-only pn.csv when every amplitude's EM fails
@@ -763,7 +767,7 @@ class TestExitCodes:
         args = ["reconstruct", "--config", str(cfg), "--data", data, "--out", str(rec),
                 "--bootstrap", replicas]
         assert main(args) == 2
-        assert os.listdir(rec) == []
+        assert not rec.exists()
         err = capsys.readouterr().err
         assert "B >= 2" in err and err.count("\n") == 1
 
@@ -798,7 +802,7 @@ class TestExitCodes:
         capsys.readouterr()
         args = ["reconstruct", "--config", str(cfg), "--data", str(data), "--out", str(rec)]
         assert main(args) == 2
-        assert os.listdir(rec) == []
+        assert not rec.exists()
         err = capsys.readouterr().err
         assert f"amp {amp}" in err and reason in err and err.count("\n") == 1
 
@@ -875,7 +879,7 @@ class TestExitCodes:
         assert main(["reconstruct", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
             "invalid input: reconstruct needs --data FILE (or --exact)\n")
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(records=[5]),
@@ -888,9 +892,11 @@ class TestExitCodes:
         lambda doc: doc["records"][0].update(phase_index=True),
         lambda doc: doc["modulation"].update(amp="0.0"),
         lambda doc: doc["modulation"].update(phases=["0.0"]),
+        # off counts are int64
+        lambda doc: doc["meta"].update(shots=2**64),
     ], ids=["records_int", "meta_null", "phases_null", "off_count_fraction",
             "meta_shots_fraction", "phase_index_fraction", "meta_shots_string",
-            "phase_index_bool", "amp_string", "phase_string"])
+            "phase_index_bool", "amp_string", "phase_string", "meta_shots_2_64"])
     def test_malformed_dataset(self, tmp_path, capsys, edit):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
@@ -903,7 +909,7 @@ class TestExitCodes:
         capsys.readouterr()
         args = ["reconstruct", "--config", str(cfg), "--data", str(data), "--out", str(rec)]
         assert main(args) == 2
-        assert os.listdir(rec) == []
+        assert not rec.exists()
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and err.count("\n") == 1
 
