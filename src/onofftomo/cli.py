@@ -145,7 +145,11 @@ class RunConfig:
         if missing:
             raise ConfigError(f"state {kind!r} missing parameter(s): {sorted(missing)}")
         for name in _STATE_PARAMS[kind]:
-            _number(int if name == "n" else float, state[name], f"state.{name}")
+            value = _number(int if name == "n" else float, state[name], f"state.{name}")
+            if name == "n_th" and not 0 <= value < math.inf:
+                raise ConfigError("state.n_th must be finite and >= 0")
+            if name == "z" and not math.isfinite(value):
+                raise ConfigError("state.z must be finite")
         _number(int, state.get("n_max"), "state.n_max", optional=True)
 
         mod = doc.get("modulation", {})

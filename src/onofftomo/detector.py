@@ -9,18 +9,17 @@ Sampling is counter-based: each (seed, phase_index, efficiency_index) cell
 owns a Philox substream and draws its count by inverting the binomial CDF on
 a single uniform, so results do not depend on iteration order or thread
 count.  A count is the smallest c with CDF(c) >= u, where CDF is the
-regularized incomplete beta of scipy.special.betainc.  Up to 10^5 shots a
-numpy CDF, summed over a window of counts about n p, settles nearly every
-cell without scipy.  It keeps a count only when u lies more than 10^-9 from
-the CDF's bounds on either side of the step.  The window's rounding error
-is bounded below 3e-12, and betainc's distance from the window, measured
-over 10^5 random cells at 10^5 shots, stays below 10^-12, so betainc picks
-the same count and no dataset depends on the path.  That agreement rests
-on this measurement of betainc, not on a proof.  Cells the window cannot
-certify (about 2.5 in 10^6 at 30000 shots), every cell above 10^5 shots and
-non-finite probabilities go to the betainc inversion, which imports
-scipy.special when first needed; the rest of the package runs on numpy
-alone.
+regularized incomplete beta of scipy.special.betainc.  Numpy keeps a count
+only when u lies more than 10^-9 from its own CDF's bounds on either side
+of the step.  Up to 10^5 shots that CDF sums the pmf over a window about
+n p, with rounding error below 3e-12; from there to 10^12 shots, for cells
+with n p q >= 10^6, it is a two-term Edgeworth expansion.  betainc's
+measured distance from them, below 10^-12 and 4.7e-11, lets it pick the
+same count, so no dataset depends on the path; that rests on measurement,
+not on a proof.  Uncertified cells (about 2.5 in 10^6 at 30000 shots and
+under 1 in 100 at 10^12), every other cell above 10^5 shots and non-finite
+probabilities go to the betainc inversion, which imports scipy.special
+when first needed; the rest of the package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -313,26 +312,101 @@ def _betainc_inverse(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     return c
 
 
+# Above _WINDOW_MAX_TRIALS, cells with n p q >= _EDGEWORTH_MIN_VAR use the
+# Edgeworth CDF, whose truncation error falls as (n p q)^-3/2.  betainc's
+# largest distance from it, over 20,000 random cells per decade from 10^7
+# to 10^12 trials and 150,000 more at 10^12 (counts to +-8 sd, a tenth of p
+# within 10^-4 of 0 or 1), is 1.4e-11 up to 10^11 and 4.7e-11 at 10^12, 21
+# times inside _CDF_EPS.  It grows about as sqrt(n) above 10^10, as
+# betainc's own rounding does, so the path stops at 10^12.
+_EDGEWORTH_MAX_TRIALS = 10**12
+_EDGEWORTH_MIN_VAR = 1e6
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter: 26-bit heads of binary64
+
+
+def _edgeworth_cdf(c: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """The two-term lattice Edgeworth CDF of Binomial(n, p) at counts c.
+
+    With continuity correction (Esseen, Acta Math. 77, 1945), F(c) = Phi(z)
+    - phi(z) [g (z^2 - 1) / 6 + k (z^3 - 3 z) / 24 + g^2 (z^5 - 10 z^3
+    + 15 z) / 72 - z / (24 s^2)], with z = (c + 1/2 - n p) / s, s^2 = n p q,
+    g = (q - p) / s, k = (1 - 6 p q) / s^2 and p rounded as betainc's
+    argument rounds it.  n p is held as Dekker's exact product x + y (Numer.
+    Math. 18, 1971), so near n p the difference c + 1/2 - x is exact and z
+    is rounded only by subtracting y and dividing by s.
+    """
+    q = 1.0 - p
+    p = 1.0 - q
+    x = n * p
+    n1, p1 = (_SPLIT * v - (_SPLIT * v - v) for v in (float(n), p))
+    y = (n - n1) * (p - p1) - (((x - n1 * p1) - (n - n1) * p1) - n1 * (p - p1))
+    var = x * q
+    g, k = (q - p) / np.sqrt(var), (1.0 - 6.0 * p * q) / var
+    z = ((c + 0.5 - x) - y) / np.sqrt(var)
+    z2 = z * z
+    upper = np.frompyfunc(math.erfc, 1, 1)(z * -math.sqrt(0.5)).astype(float)
+    poly = (g * (z2 - 1.0) / 6.0 + k * z * (z2 - 3.0) / 24.0
+            + g * g * z * (z2 * z2 - 10.0 * z2 + 15.0) / 72.0 - z / (24.0 * var))
+    return 0.5 * upper - np.exp(-0.5 * z2) / math.sqrt(_TWO_PI) * poly
+
+
+def _edgeworth_inverse(u: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, certified)`` on :func:`_edgeworth_cdf`, F.
+
+    Each cell with n p q >= ``_EDGEWORTH_MIN_VAR`` and eps < u < 1 - eps
+    starts from a normal quantile good to 4.5e-4 (Abramowitz and Stegun
+    26.2.23) and steps to where the line through F(c - 1) and F(c) meets u,
+    until F(c - 1) < u <= F(c): at most three passes over 20,000 random
+    cells at each of 10^7, 10^9 and 10^12 trials.  It is certified, as in
+    :func:`_window_inverse`, when F(c) - eps >= u > F(c - 1) + eps.
+    """
+    counts = np.zeros(u.size, dtype=np.int64)
+    certified = np.zeros(u.size, dtype=bool)
+    q = 1.0 - p
+    live = np.flatnonzero((n * (1.0 - q) * q >= _EDGEWORTH_MIN_VAR)
+                          & (u > _CDF_EPS) & (u < 1.0 - _CDF_EPS))
+    u, p = u[live], p[live]
+    t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+    z = t - (2.515517 + t * (0.802853 + 0.010328 * t)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + 0.001308 * t)))
+    c = np.clip(np.floor(n * p + np.copysign(z, u - 0.5) * np.sqrt(n * p * (1.0 - p))), 0, n)
+    moving = np.arange(live.size)
+    for _ in range(10):  # a cell still moving after ten passes goes to betainc
+        pm, um = p[moving], u[moving]
+        lo, hi = _edgeworth_cdf(c[moving] - 1.0, n, pm), _edgeworth_cdf(c[moving], n, pm)
+        certified[live[moving]] = (hi - _CDF_EPS >= um) & (um > lo + _CDF_EPS)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 once F(c - 1) < u <= F(c)
+            step = np.nan_to_num(np.ceil((um - lo) / (hi - lo)) - 1.0)
+        c[moving] = np.clip(c[moving] + step, 0, n)
+        moving = moving[step != 0]
+        if not moving.size:
+            break
+    counts[live] = c
+    return counts, certified
+
+
 def _binomial_inverse(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     """The count of every cell: the smallest c in [0, n] with CDF(c) >= u.
 
     The count is the one :func:`_betainc_inverse` returns; p <= 0 and
-    p >= 1 give 0 and n.  Up to ``_WINDOW_MAX_TRIALS`` trials,
-    :func:`_window_inverse` sets every count it can certify in numpy, and
-    only the others go to the betainc inversion, so scipy.special is
-    imported only above 10^5 trials, for a non-finite p, or for the rare
-    cell whose u lies within ``_CDF_EPS`` of a CDF step.  Certification
-    makes both paths return the same count as long as betainc stays within
-    ``_CDF_EPS`` of the window, as it did with a wide margin on the sample
-    described at ``_WINDOW_MAX_TRIALS``.
+    p >= 1 give 0 and n.  :func:`_window_inverse` up to
+    ``_WINDOW_MAX_TRIALS`` trials, and :func:`_edgeworth_inverse` from there
+    to ``_EDGEWORTH_MAX_TRIALS``, set every count they can certify in numpy;
+    only the others go to the betainc inversion.  Certification makes both
+    paths return betainc's count as long as betainc stays within
+    ``_CDF_EPS`` of their CDF.  Its largest measured distance is 8.7e-13
+    from the window and 4.7e-11 from the Edgeworth CDF, on the samples
+    described at those two constants: the identity rests on these
+    measurements, not on a proof.
     """
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
     counts = np.where(p >= 1.0, n, 0).astype(np.int64)
     todo = np.flatnonzero(~((p >= 1.0) | (p <= 0.0)))
-    if n <= _WINDOW_MAX_TRIALS:
-        window, certified = _window_inverse(u[todo], n, p[todo])
-        counts[todo[certified]] = window[certified]
+    if n <= _EDGEWORTH_MAX_TRIALS:
+        numpy_inverse = _window_inverse if n <= _WINDOW_MAX_TRIALS else _edgeworth_inverse
+        found, certified = numpy_inverse(u[todo], n, p[todo])
+        counts[todo[certified]] = found[certified]
         todo = todo[~certified]
     if todo.size:
         counts[todo] = _betainc_inverse(u[todo], n, p[todo])
@@ -352,8 +426,8 @@ def simulate_dataset(
     p_n(|alpha| e^(i phi_l)) is computed, its truncation grown from the state
     energy and |alpha| until the tail fits ``DEFAULT_TAIL_TOL``, and each
     efficiency cell draws its count from Binomial(shots, P_off(eta_k)) on its
-    own (seed, l, k) substream.  Fixed seed => byte-identical datasets,
-    independent of evaluation order.
+    own (seed, l, k) substream; all cells are inverted in one call.  Fixed
+    seed => byte-identical datasets, independent of evaluation order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -361,21 +435,13 @@ def simulate_dataset(
         raise ValueError("shots must be < 2**63")
     if not (0 <= int(seed) < 2**64):
         raise ValueError("seed must fit in 64 bits")
-    datasets = []
-    for l in range(modulation.n_phases):
-        dist = displaced_photon_distribution_auto(
-            rho, modulation.alpha(l), tail_tol=DEFAULT_TAIL_TOL
-        )
-        p_off = off_probabilities(dist, grid)
-        u = np.array([_cell_uniform(seed, l + 1, k + 1) for k in range(grid.size)])
-        counts = _binomial_inverse(u, shots, p_off)
-        datasets.append(
-            OnOffDataset(
-                grid=grid,
-                shots=shots,
-                off_counts=counts,
-                amp=modulation.amp,
-                phase=float(modulation.phases[l]),
-            )
-        )
-    return datasets
+    p_off = np.array([
+        off_probabilities(displaced_photon_distribution_auto(
+            rho, modulation.alpha(l), tail_tol=DEFAULT_TAIL_TOL), grid)
+        for l in range(modulation.n_phases)])
+    u = np.array([[_cell_uniform(seed, l + 1, k + 1) for k in range(grid.size)]
+                  for l in range(modulation.n_phases)])
+    counts = _binomial_inverse(u.ravel(), shots, p_off.ravel()).reshape(u.shape)
+    return [OnOffDataset(grid=grid, shots=shots, off_counts=counts[l], amp=modulation.amp,
+                         phase=float(modulation.phases[l]))
+            for l in range(modulation.n_phases)]

@@ -836,6 +836,12 @@ class TestExitCodes:
         ({"state": {"z": 1.0}}, "invalid input: config needs a state section with a 'kind'\n"),
         ({"state": {"kind": "coherent"}},
          "invalid input: state 'coherent' missing parameter(s): ['z']\n"),
+        # JSON's Infinity and NaN are numbers to Python's json module
+        *(({"state": {"kind": "thermal", "n_th": n_th}},
+           "invalid input: state.n_th must be finite and >= 0\n")
+          for n_th in (math.inf, math.nan, -1.0)),
+        *(({"state": {"kind": kind, "z": z}}, "invalid input: state.z must be finite\n")
+          for kind, z in (("coherent", math.inf), ("phase_averaged_coherent", math.nan))),
         ({"modulation": {"amps": 0.5}}, "invalid input: modulation.amps must be a list, got 0.5\n"),
         *(({"modulation": {"amps": amps}}, "invalid input: modulation.amps must be finite and >= 0\n")
           for amps in ([], [-0.5], [math.nan])),
@@ -857,7 +863,8 @@ class TestExitCodes:
             "shots_string", "n_phases_bool", "eta_max_string", "amp_string", "em_tol_bool",
             "em_tol_zero", "em_max_iter_zero", "residual_bound_nan", "residual_bound_negative",
             "residual_bound_inf", "shots_2_63", "shots_1e19", "section_not_object",
-            "state_kind_missing", "state_parameter_missing", "amps_not_list", "amps_empty",
+            "state_kind_missing", "state_parameter_missing", "n_th_inf", "n_th_nan",
+            "n_th_negative", "z_inf", "z_nan", "amps_not_list", "amps_empty",
             "amps_negative", "amps_nan", "amps_repeated", "grid_k_one", "shots_zero",
             "n_phases_zero", "eta_max_zero", "eta_max_above_one", "seed_negative", "seed_2_64",
             "targets_empty", "targets_unknown", "targets_string", "svd_cutoff_zero",
@@ -1004,9 +1011,9 @@ class TestExitCodes:
 
 
 class TestStartup:
-    """The CLI starts on numpy alone; sampling above 10^5 shots loads only scipy.special,
-    a data-mode reconstruct loads neither scipy nor numpy.ma, and no EM run loads
-    multiprocessing."""
+    """The CLI starts on numpy alone; sampling loads only scipy.special, and only for
+    cells neither numpy CDF certifies, a data-mode reconstruct loads neither scipy nor
+    numpy.ma, and no EM run loads multiprocessing."""
 
     SCRIPT = """
 import sys
@@ -1029,15 +1036,17 @@ print('scipy.stats' in sys.modules)
     SIMULATE = """
 import sys
 from onofftomo import ModulationSpec, make_thermal, simulate_dataset, uniform_grid
-for shots in (30000, 10**12):
+for shots in (30000, 10**12, 10**6):
     simulate_dataset(make_thermal(1.0, 30), ModulationSpec.uniform(0.5, 2), uniform_grid(0.67, 25),
                      shots=shots, seed=3)
     print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
 
     def test_simulate_loads_scipy_special_only_above_the_window(self):
-        # 30000 shots are sampled in numpy; 10^12 shots load scipy.special
-        # (with what it imports itself) and no other scipy module
+        # 30000 shots are sampled on the numpy window and these 10^12-shot
+        # cells on the Edgeworth CDF, all 50 of them certified; at 10^6 shots
+        # every cell has n p q < 10^6 and goes to betainc, which loads
+        # scipy.special (with what it imports itself) and no other scipy module
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -1047,7 +1056,7 @@ for shots in (30000, 10**12):
                               capture_output=True, text=True).stdout.splitlines()
         out = subprocess.run([sys.executable, "-c", self.SIMULATE], env=env, check=True,
                              capture_output=True, text=True).stdout.splitlines()
-        assert out == ["[]"] + want
+        assert out == ["[]", "[]"] + want
 
     DATA_RECONSTRUCT = """
 import json, sys

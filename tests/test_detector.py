@@ -22,9 +22,12 @@ from onofftomo import (
 )
 from onofftomo.detector import (
     _CDF_EPS,
+    _EDGEWORTH_MIN_VAR,
     _WINDOW_MAX_TRIALS,
     _betainc_inverse,
     _binomial_inverse,
+    _edgeworth_cdf,
+    _edgeworth_inverse,
     _window_cdf,
     _window_inverse,
 )
@@ -203,7 +206,7 @@ class TestSimulation:
 class TestBinomialInverse:
     """The vectorised CDF inversion against scipy.stats.binom.ppf, cell for cell."""
 
-    @pytest.mark.parametrize("n", [1, 7, 30000, 10**12])
+    @pytest.mark.parametrize("n", [1, 7, 30000, 10**8, 10**10, 10**12])
     def test_matches_scipy_ppf(self, n):
         from scipy import stats
 
@@ -255,6 +258,52 @@ class TestBinomialInverse:
         step = betainc(n - k, k + 1, 1.0 - 0.3)  # CDF(k)
         u = step + np.array([-10.0, -0.5, -0.1, 0.0, 0.1, 0.5, 10.0]) * _CDF_EPS
         certified = _window_inverse(u, n, p)[1]
+        assert certified.tolist() == [True] + [False] * 5 + [True]
+        counts = _binomial_inverse(u, n, p)
+        assert counts.tolist() == [k] * 4 + [k + 1] * 3
+        assert np.array_equal(counts, _betainc_inverse(u, n, p))
+
+    @pytest.mark.parametrize("n", [10**7, 10**9, 10**12])
+    def test_edgeworth_matches_betainc(self, n):
+        # above the window the Edgeworth CDF settles nearly every cell with
+        # n p q >= 10^6 and no other, and every count it settles is the
+        # betainc inversion's
+        rng = np.random.default_rng(n + 1)
+        u = rng.random(3000)
+        edge = 10 ** rng.uniform(-15, 0, 1000)
+        p = np.concatenate([rng.random(2000), edge[:500], 1.0 - edge[500:]])
+        q = 1.0 - p
+        eligible = n * (1.0 - q) * q >= _EDGEWORTH_MIN_VAR
+        counts, certified = _edgeworth_inverse(u, n, p)
+        assert not certified[~eligible].any() and certified[eligible].mean() > 0.99
+        want = _betainc_inverse(u, n, p)
+        assert np.array_equal(counts[certified], want[certified])
+        assert np.array_equal(_binomial_inverse(u, n, p), want)
+
+    def test_edgeworth_error_is_far_below_the_margin(self):
+        # _CDF_EPS is at least 20 times betainc's distance from the Edgeworth
+        # CDF at 10^12 trials, where that distance is largest, on counts to
+        # +-8 sd and p within 10^-4 of 0 or 1 as well as uniform
+        from scipy.special import betainc
+
+        n = 10**12
+        rng = np.random.default_rng(0)
+        edge = 10 ** rng.uniform(-6, -4, 2000)
+        p = np.concatenate([rng.random(8000), edge[:1000], 1.0 - edge[1000:]])
+        p = p[n * p * (1.0 - p) >= _EDGEWORTH_MIN_VAR]
+        assert p.size > 9900
+        c = np.floor(n * p + rng.uniform(-8, 8, p.size) * np.sqrt(n * p * (1.0 - p)))
+        want = betainc(n - c, c + 1, 1.0 - p)
+        assert 20 * np.abs(_edgeworth_cdf(c, n, p) - want).max() <= _CDF_EPS
+
+    def test_u_within_margin_of_a_step_falls_back_above_the_window(self):
+        from scipy.special import betainc
+
+        n, k = 10**12, 3 * 10**11 + 10**5
+        p = np.full(7, 0.3)
+        step = betainc(n - k, k + 1, 1.0 - 0.3)  # CDF(k)
+        u = step + np.array([-10.0, -0.5, -0.1, 0.0, 0.1, 0.5, 10.0]) * _CDF_EPS
+        certified = _edgeworth_inverse(u, n, p)[1]
         assert certified.tolist() == [True] + [False] * 5 + [True]
         counts = _binomial_inverse(u, n, p)
         assert counts.tolist() == [k] * 4 + [k + 1] * 3
